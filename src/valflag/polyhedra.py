@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from .errors import DimensionError, DomainError
 from .prime import DefiningMatrix, EqualityVerdict, Prime, canonicalize, classify, decide_equal, CONT
 from .linalg import field_rank
-from .scalars import Scalar, ScalarLike, ZERO, dot, simplest_between
+from .scalars import ONE, Scalar, ScalarLike, ZERO, dot, simplest_between
 from .tropical import TropPolynomial
 
 Row = tuple[tuple[Scalar, ...], Scalar, bool]
@@ -53,10 +53,10 @@ def _normalize_row(row: Row) -> Row:
     lead = next((x for x in coeffs if x), None)
     if lead is None:
         return row
-    scale = lead if lead.sign() > 0 else -lead
+    inv = ONE / (lead if lead.sign() > 0 else -lead)
     return (
-        tuple(x / scale for x in coeffs),
-        rhs / scale,
+        tuple(x * inv for x in coeffs),
+        rhs * inv,
         strict,
     )
 
@@ -106,13 +106,9 @@ def fm_feasible(
         combined = zero
         for pc, pr, ps in pos:
             for nc, nr, ns in neg:
-                a, b = pc[k], nc[k]
-                coeffs = tuple(
-                    x * (-b) + y * a for x, y in zip(pc, nc)
-                )
-                combined = combined + [
-                    (coeffs, pr * (-b) + nr * a, ps or ns)
-                ]
+                a, nb = pc[k], -nc[k]
+                coeffs = tuple(x * nb + y * a for x, y in zip(pc, nc))
+                combined.append((coeffs, pr * nb + nr * a, ps or ns))
         work = _dedup(combined)
     for _, rhs, strict in work:
         s = rhs.sign()

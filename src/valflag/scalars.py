@@ -13,7 +13,14 @@ which terminates for any nonzero value.
 Non-goals: general real algebraic numbers (cubic or higher radicals raise
 no claim here; the representable field is exactly ℚ(sqrt(d1), ..., sqrt(dr))
 with the number of distinct radicals capped, default 8, overridable through
-the VALFLAG_RADICAL_CAP environment variable).
+the VALFLAG_RADICAL_CAP environment variable).  The cap is read when
+``Scalar(terms)`` reduces a map, and by arithmetic only when a result carries
+more radicals than each of its operands; a sum, product or quotient that
+gains no radical never consults it.
+
+Arithmetic results are built already reduced (squarefree keys, nonzero
+``Fraction`` coefficients) and skip the reduction that ``Scalar(terms)``
+applies to arbitrary input.
 """
 
 from __future__ import annotations
@@ -47,6 +54,15 @@ def radical_cap() -> int:
     if cap < 1:
         raise CapacityError(f"{RADICAL_CAP_ENV} must be positive, got {cap}")
     return cap
+
+
+def _check_radical_cap(nrad: int) -> None:
+    cap = radical_cap()
+    if nrad > cap:
+        raise CapacityError(
+            f"scalar would carry {nrad} distinct radicals, "
+            f"cap is {cap} (set {RADICAL_CAP_ENV} to raise it)"
+        )
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
@@ -107,19 +123,38 @@ class Scalar:
                     reduced[inner] = acc
                 elif inner in reduced:
                     del reduced[inner]
-        nrad = sum(1 for n in reduced if n != 1)
-        if nrad > radical_cap():
-            raise CapacityError(
-                f"scalar would carry {nrad} distinct radicals, "
-                f"cap is {radical_cap()} (set {RADICAL_CAP_ENV} to raise it)"
-            )
+        _check_radical_cap(len(reduced) - (1 in reduced))
         self._terms = reduced
 
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _reduced(
+        cls, terms: dict[int, Fraction], *operands: "Scalar"
+    ) -> "Scalar":
+        """Wrap a map that is already reduced: squarefree keys and nonzero
+        Fraction values.  The map is taken, not copied.
+
+        The radical cap is checked only when the map carries more radicals
+        than each of the operands it was computed from; a map that keeps the
+        keys of a single scalar is passed without operands.
+        """
+        if operands:
+            nrad = len(terms) - (1 in terms)
+            for o in operands:
+                if nrad <= len(o._terms) - (1 in o._terms):
+                    break
+            else:
+                _check_radical_cap(nrad)
+        out = object.__new__(cls)
+        out._terms = terms
+        return out
+
+    @classmethod
     def rational(cls, q: RationalLike) -> "Scalar":
-        return cls({1: Fraction(q)})
+        if not isinstance(q, Fraction):
+            q = Fraction(q)
+        return cls._reduced({1: q} if q else {})
 
     @classmethod
     def sqrt(cls, n: int) -> "Scalar":
@@ -170,17 +205,20 @@ class Scalar:
         other = Scalar.coerce(other)
         merged = dict(self._terms)
         for n, q in other._terms.items():
-            acc = merged.get(n, Fraction(0)) + q
-            if acc:
-                merged[n] = acc
-            elif n in merged:
-                del merged[n]
-        return Scalar(merged)
+            if n in merged:
+                acc = merged[n] + q
+                if acc:
+                    merged[n] = acc
+                else:
+                    del merged[n]
+            else:
+                merged[n] = q
+        return Scalar._reduced(merged, self, other)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar({n: -q for n, q in self._terms.items()})
+        return Scalar._reduced({n: -q for n, q in self._terms.items()})
 
     def __sub__(self, other: ScalarLike) -> "Scalar":
         return self + (-Scalar.coerce(other))
@@ -190,18 +228,28 @@ class Scalar:
 
     def __mul__(self, other: ScalarLike) -> "Scalar":
         other = Scalar.coerce(other)
+        a, b = self._terms, other._terms
+        if len(b) == 1 and 1 in b:
+            return self._scale(b[1])
+        if len(a) == 1 and 1 in a:
+            return other._scale(a[1])
         prod: dict[int, Fraction] = {}
-        for m, qm in self._terms.items():
-            for n, qn in other._terms.items():
+        for m, qm in a.items():
+            for n, qn in b.items():
+                # m, n squarefree: sqrt(m)*sqrt(n) = g*sqrt((m/g)*(n/g)), and
+                # (m/g)*(n/g) is squarefree again
                 g = math.gcd(m, n)
                 key = (m // g) * (n // g)
-                coeff = qm * qn * g
-                acc = prod.get(key, Fraction(0)) + coeff
-                if acc:
-                    prod[key] = acc
-                elif key in prod:
-                    del prod[key]
-        return Scalar(prod)
+                coeff = qm * qn * g if g > 1 else qm * qn
+                if key in prod:
+                    acc = prod[key] + coeff
+                    if acc:
+                        prod[key] = acc
+                    else:
+                        del prod[key]
+                else:
+                    prod[key] = coeff
+        return Scalar._reduced(prod, self, other)
 
     __rmul__ = __mul__
 
@@ -212,7 +260,7 @@ class Scalar:
         num, den = self, other
         while not den.is_rational():
             p = _smallest_prime_factor(min(den.radicals()))
-            conj = Scalar(
+            conj = Scalar._reduced(
                 {n: (-q if n % p == 0 else q) for n, q in den._terms.items()}
             )
             num = num * conj
@@ -223,8 +271,11 @@ class Scalar:
         return Scalar.coerce(other) / self
 
     def _scale(self, q: RationalLike) -> "Scalar":
-        q = Fraction(q)
-        return Scalar({n: c * q for n, c in self._terms.items()})
+        if not q:
+            return ZERO
+        if not isinstance(q, Fraction):
+            q = Fraction(q)
+        return Scalar._reduced({n: c * q for n, c in self._terms.items()})
 
     def __pow__(self, k: int) -> "Scalar":
         if k < 0:

@@ -3,6 +3,11 @@
 The LP oracle here deliberately shares nothing with the library's
 Fourier-Motzkin engine: feasibility is decided by brute-force vertex
 enumeration of a boxed, slack-augmented system over Fractions.
+
+The scalar arithmetic oracle builds every result through the public
+``Scalar(terms)``, which reduces arbitrary radicands by trial division.
+Products hand it the unreduced key m*n, so they share nothing with the gcd
+rule that ``Scalar.__mul__`` uses to stay reduced.
 """
 
 from __future__ import annotations
@@ -78,6 +83,47 @@ def naive_feasible(rows: list[RatRow], d: int, box: int = 10**5) -> bool:
     return best is not None and best > 0
 
 
+# -- scalar arithmetic through the reducing constructor -----------------------
+
+
+def ref_add(a: Scalar, b: Scalar) -> Scalar:
+    terms = dict(a.items())
+    for n, q in b.items():
+        terms[n] = terms.get(n, 0) + q
+    return Scalar(terms)
+
+
+def ref_neg(a: Scalar) -> Scalar:
+    return Scalar({n: -q for n, q in a.items()})
+
+
+def ref_sub(a: Scalar, b: Scalar) -> Scalar:
+    return ref_add(a, ref_neg(b))
+
+
+def ref_scale(a: Scalar, q: Fraction) -> Scalar:
+    return Scalar({n: c * q for n, c in a.items()})
+
+
+def ref_mul(a: Scalar, b: Scalar) -> Scalar:
+    terms: dict[int, Fraction] = {}
+    for m, qm in a.items():
+        for n, qn in b.items():
+            terms[m * n] = terms.get(m * n, 0) + qm * qn
+    return Scalar(terms)
+
+
+def ref_div(a: Scalar, b: Scalar) -> Scalar:
+    """a / b by multiplying both by conjugates until b is rational."""
+    num, den = a, b
+    while den.radicals():
+        r = min(den.radicals())
+        p = next(d for d in range(2, r + 1) if r % d == 0)
+        conj = Scalar({n: (-q if n % p == 0 else q) for n, q in den.items()})
+        num, den = ref_mul(num, conj), ref_mul(den, conj)
+    return ref_scale(num, 1 / den.as_rational())
+
+
 # -- random generators --------------------------------------------------------
 
 
@@ -127,6 +173,8 @@ def transform_rows(rng: random.Random, matrix: DefiningMatrix) -> DefiningMatrix
     """Apply random order-preserving row operations: positive scalings and
     adding multiples of a row to rows below it."""
     rows = [list(r) for r in matrix.rows]
+    if not rows:
+        return matrix
     for _ in range(4):
         i = rng.randrange(len(rows))
         scale = Fraction(rng.randint(1, 3), rng.randint(1, 3))

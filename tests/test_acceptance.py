@@ -70,8 +70,9 @@ def criterion(num, label, limit=None):
         ok = True
     finally:
         elapsed = time.perf_counter() - start
-        timing = f" [{elapsed:.2f}s < {limit:.0f}s]" if limit else ""
-        print(f"criterion {num:2d} ({label}): {'PASS' if ok else 'FAIL'}{timing}")
+        in_time = limit is None or elapsed < limit
+        timing = f" [{elapsed:.2f}s {'<' if in_time else '>='} {limit:.0f}s]" if limit else ""
+        print(f"criterion {num:2d} ({label}): {'PASS' if ok and in_time else 'FAIL'}{timing}")
     if limit is not None:
         assert elapsed < limit
 

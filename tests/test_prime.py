@@ -81,6 +81,12 @@ def test_canonicalize_preserves_lex_signs():
             assert M.sign_lex(w) == C.matrix.sign_lex(w)
 
 
+def test_transform_rows_keeps_a_matrix_without_rows():
+    M = canonicalize([[0, 0, 0]]).matrix
+    assert not M.rows
+    assert transform_rows(random.Random(0), M) == M
+
+
 def test_prime_validation():
     with pytest.raises(DomainError):
         Prime(DefiningMatrix([[1, 0], [2, 1]]))  # two nonzero coefficients

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from valflag import CapacityError, ParseError, Scalar, format_scalar, parse_scalar, simplest_between
-from valflag.scalars import ONE, ZERO, rational_part_basis
+from valflag.scalars import ONE, ZERO, rational_part_basis, squarefree_split
+
+from _oracles import random_rational, ref_add, ref_div, ref_mul, ref_neg, ref_scale, ref_sub
 
 
 def test_parse_example():
@@ -145,6 +147,49 @@ def test_radical_cap(monkeypatch):
     monkeypatch.setenv("VALFLAG_RADICAL_CAP", "junk")
     with pytest.raises(CapacityError):
         s + Scalar.sqrt(23)
+
+
+def test_product_gaining_a_ninth_radical_hits_cap(monkeypatch):
+    monkeypatch.delenv("VALFLAG_RADICAL_CAP", raising=False)
+    a = Scalar({2: 1, 3: 1, 5: 1})
+    b = Scalar({7: 1, 11: 1, 13: 1})
+    with pytest.raises(CapacityError):
+        a * b
+
+
+def _assert_reduced(s):
+    for n, q in s._terms.items():
+        assert squarefree_split(n) == (1, n)
+        assert type(q) is Fraction and q != 0
+
+
+def test_arithmetic_agrees_with_reducing_oracle():
+    rng = random.Random(29)
+    radicands = (1, 2, 3, 5, 6, 8, 12, 18)
+
+    def draw():
+        k = rng.choice((0, 1, 1, 2, 3, 4))
+        return Scalar({r: random_rational(rng) for r in rng.sample(radicands, k)})
+
+    for _ in range(400):
+        a, b = draw(), draw()
+        q = random_rational(rng)
+        pairs = [
+            (a + b, ref_add(a, b)),
+            (a - b, ref_sub(a, b)),
+            (a * b, ref_mul(a, b)),
+            (-a, ref_neg(a)),
+            (a._scale(q), ref_scale(a, q)),
+            (a._scale(q.numerator), ref_scale(a, Fraction(q.numerator))),
+        ]
+        if b:
+            pairs.append((a / b, ref_div(a, b)))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a / b
+        for got, want in pairs:
+            _assert_reduced(got)
+            assert got == want and hash(got) == hash(want)
 
 
 def test_as_rational():
