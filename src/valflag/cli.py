@@ -75,7 +75,11 @@ def _polyhedron_from_data(data: object, n: int, path: str) -> GammaPolyhedron:
             raise ParseError(
                 f'{path}: each inequality needs "u" and "gamma"'
             )
-        u = [int(x) for x in item["u"]]
+        u = item["u"]
+        if not all(type(x) is int for x in u):
+            raise ParseError(
+                f"{path}: normals must be JSON integers, got {json.dumps(u)}"
+            )
         gamma = parse_scalar(str(item["gamma"]))
         if not gamma.is_rational():
             raise ParseError(

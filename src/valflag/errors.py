@@ -39,4 +39,4 @@ class DomainError(ValflagError):
 
 
 class CapacityError(ValflagError):
-    """A configured resource bound was exceeded (radical cap, search cap)."""
+    """A configured resource bound was exceeded (the radical cap)."""

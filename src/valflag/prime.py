@@ -20,10 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 from typing import Optional, Sequence
 
-from .errors import CapacityError, DimensionError, DomainError
+from .errors import DimensionError, DomainError
 from .linalg import (
     field_rank,
     field_rref,
@@ -41,8 +40,6 @@ CONT, COEFFICIENT_BLIND, NON_CONTINUOUS = (
     "coefficient_blind",
     "non_continuous",
 )
-
-WITNESS_SEARCH_CAP = 10**6
 
 
 class DefiningMatrix:
@@ -506,39 +503,61 @@ def _mixed_case_witness(
     return H.member(coeffs, gamma)
 
 
-def _covector_witness_candidates(rank: int):
-    """Basis vectors and their negations first, then growing integer boxes."""
-    for d in range(rank):
-        unit = [1 if i == d else 0 for i in range(rank)]
-        yield unit
-        yield [-x for x in unit]
-    bound = 1
-    while True:
-        for tup in iter_product(range(-bound, bound + 1), repeat=rank):
-            if max(abs(t) for t in tup) != bound:
+def _cone_point(a: list[Scalar], b: list[Scalar]) -> list[int]:
+    """Integer coefficients m with a·m > 0 > b·m, for linearly independent
+    covectors a and b.
+
+    Coordinates d1, d2 with a nonzero 2x2 minor carry the open cone into a
+    plane.  On the line m = x·e_d1 + y·e_d2 each inequality is a sign test
+    or a strict bound on x, and the minor's sign decides which of y = ±1
+    leaves an interval; a rational x = p/q in it gives p·e_d1 + y·q·e_d2.
+    """
+    rank = len(a)
+    d1, d2 = next(
+        (d1, d2) for d1 in range(rank) for d2 in range(d1 + 1, rank)
+        if a[d1] * b[d2] != a[d2] * b[d1]
+    )
+    for y in (1, -1):
+        # each condition reads c·x + k > 0
+        conditions = ((a[d1], a[d2]._scale(y)), (-b[d1], b[d2]._scale(-y)))
+        if any(not c and k.sign() <= 0 for c, k in conditions):
+            continue
+        lows = [-k / c for c, k in conditions if c.sign() > 0]
+        highs = [-k / c for c, k in conditions if c.sign() < 0]
+        if lows and highs:
+            lo, hi = max(lows), min(highs)
+            if not lo < hi:
                 continue
-            yield list(tup)
-        bound += 1
+            x = simplest_between(lo, hi)
+        elif lows:
+            x = Fraction(max(lows).floor() + 1)
+        else:
+            x = Fraction(min(highs).floor() - 1)
+        coeffs = [0] * rank
+        coeffs[d1], coeffs[d2] = x.numerator, y * x.denominator
+        return coeffs
+    raise AssertionError("disagreement cone missed both lines y = ±1")
 
 
 def _covector_disagreement_witness(
-    A: Prime, B: Prime, H: KernelSubgroup
+    A: Prime, B: Prime, H: KernelSubgroup, a: list[Scalar], b: list[Scalar]
 ) -> ExponentVector:
-    """Search H (basis directions first, then growing integer boxes) for a
-    member with differing full lex signs; the stage covectors are not
-    positively proportional, so the disagreement cone is open and a
-    rational point in it exists."""
-    tried = 0
-    for coeffs in _covector_witness_candidates(H.lattice_rank):
-        tried += 1
-        if tried > WITNESS_SEARCH_CAP:
-            raise CapacityError(
-                f"witness search exceeded {WITNESS_SEARCH_CAP} candidates"
-            )
-        w = H.member(coeffs)
-        if A.matrix.sign_lex(w) != B.matrix.sign_lex(w):
-            return w
-    raise AssertionError("unreachable: candidate stream is infinite")
+    """A member of H with differing full lex signs, for stage covectors a
+    and b that are not positively proportional.
+
+    The basis vectors ±e_d come first, since a stage value of 0 on one side
+    can separate there.  Failing those, a and b are linearly independent (a
+    negative multiple is separated by some ±e_d), and a point of the open
+    cone {a·m > 0 > b·m} separates: every earlier row vanishes on H, so the
+    opposite stage signs are the full lex signs.
+    """
+    rank = H.lattice_rank
+    for d in range(rank):
+        for unit in (1, -1):
+            w = H.member([unit if i == d else 0 for i in range(rank)])
+            if A.matrix.sign_lex(w) != B.matrix.sign_lex(w):
+                return w
+    return H.member(_cone_point(a, b))
 
 
 def _positively_proportional(ga: list[Scalar], gb: list[Scalar]) -> bool:
@@ -626,7 +645,7 @@ def decide_equal(A: Prime, B: Prime) -> EqualityVerdict:
             i += 1
             j += 1
             continue
-        w = _covector_disagreement_witness(A, B, H)
+        w = _covector_disagreement_witness(A, B, H, values_a, values_b)
         return _distinguished(A, B, w)
 
 

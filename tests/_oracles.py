@@ -8,6 +8,9 @@ The scalar arithmetic oracle builds every result through the public
 ``Scalar(terms)``, which reduces arbitrary radicands by trial division.
 Products hand it the unreduced key m*n, so they share nothing with the gcd
 rule that ``Scalar.__mul__`` uses to stay reduced.
+
+The equality-witness oracle searches integer boxes for a separating term,
+where ``decide_equal`` constructs one from the stage covectors.
 """
 
 from __future__ import annotations
@@ -122,6 +125,38 @@ def ref_div(a: Scalar, b: Scalar) -> Scalar:
         conj = Scalar({n: (-q if n % p == 0 else q) for n, q in den.items()})
         num, den = ref_mul(num, conj), ref_mul(den, conj)
     return ref_scale(num, 1 / den.as_rational())
+
+
+# -- equality witnesses by search ---------------------------------------------
+
+
+def ref_covector_witness(
+    A: Prime, B: Prime, n: int, max_candidates: int
+) -> ExponentVector | None:
+    """Search Z^n (gamma = 0) for a term with differing lex signs: the basis
+    vectors and their negations first, then growing integer boxes.
+
+    Returns None once max_candidates terms have been tried, so a thin
+    disagreement cone costs a bounded search instead of a hang.
+    """
+
+    def candidates():
+        for d in range(n):
+            unit = tuple(1 if i == d else 0 for i in range(n))
+            yield unit
+            yield tuple(-x for x in unit)
+        bound = 1
+        while True:
+            for u in product(range(-bound, bound + 1), repeat=n):
+                if max(abs(x) for x in u) == bound:
+                    yield u
+            bound += 1
+
+    for _, u in zip(range(max_candidates), candidates()):
+        w = ExponentVector(Fraction(0), u)
+        if A.matrix.sign_lex(w) != B.matrix.sign_lex(w):
+            return w
+    return None
 
 
 # -- random generators --------------------------------------------------------

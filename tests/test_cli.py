@@ -254,6 +254,16 @@ def test_irrational_rhs_rejected(tmp_path, capsys):
     assert "rational" in capsys.readouterr().err
 
 
+def test_non_integer_normal_rejected(tmp_path, capsys):
+    m = jfile(tmp_path, "m.json", WHALE)
+    for normal in ([1.5, 0], [True, 0], ["a", 0]):
+        u = jfile(tmp_path, "u.json", {"ineqs": [{"u": normal, "gamma": "1"}]})
+        assert cli.main(["member", m, u]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert u in err and "integers" in err
+
+
 def test_empty_pieces_rejected(tmp_path, capsys):
     m = jfile(tmp_path, "m.json", WHALE)
     u = jfile(tmp_path, "u.json", {"pieces": []})

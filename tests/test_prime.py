@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,14 @@ from valflag import (
     row_op_normal_form,
 )
 
-from _oracles import grid_exponents, random_prime, random_term, transform_rows
+from _oracles import (
+    grid_exponents,
+    random_prime,
+    random_scalar,
+    random_term,
+    ref_covector_witness,
+    transform_rows,
+)
 
 R2 = Scalar.sqrt(2)
 R3 = Scalar.sqrt(3)
@@ -289,6 +297,59 @@ def test_equal_verdicts_survive_grid_search():
         checked += 1
         for w in grid_exponents(n, bound=2, max_den=3):
             assert A.matrix.sign_lex(w) == B.matrix.sign_lex(w)
+
+
+def test_decide_equal_thin_cone():
+    """First rows eps apart: their disagreement cone is so thin that the
+    smallest separating term has entries near 1/sqrt(eps)."""
+    for eps in (Fraction(1, 10**6), Fraction(1, 10**12)):
+        A = P([0, 1, R2])
+        B = P([0, 1, R2 + eps])
+        for X, Y in ((A, B), (B, A)):
+            start = time.perf_counter()
+            verdict = decide_equal(X, Y)
+            assert time.perf_counter() - start < 1
+            assert verdict.outcome == "Distinguished"
+            w = verdict.witness
+            assert X.matrix.sign_lex(w) != Y.matrix.sign_lex(w)
+
+
+def test_covector_witness_agrees_with_box_search():
+    """Coefficient-blind pairs whose first rows are not positively
+    proportional, so the first stage already disagrees on all of Z^n.
+
+    The box search is bounded, and a cone thinner than its reach leaves it
+    without a verdict; such a pair rests on the re-check in decide_equal.
+    """
+    rng = random.Random(211)
+    basis_hits = constructed = 0
+    for _ in range(60):
+        n = rng.choice([2, 3])
+        first = [1] + [
+            random_scalar(rng) / 4 if rng.random() < 0.7 else 0
+            for _ in range(n - 1)
+        ]
+        nonzero = [j for j in range(n) if first[j]]
+        # moving an entry off a row's only nonzero one keeps the rows apart
+        d = rng.choice([i for i in range(n) if nonzero != [i]])
+        eps = Fraction(rng.choice([-1, 1]), rng.choice([3, 7, 50]))
+        moved = [x + eps if i == d else x for i, x in enumerate(first)]
+        rows_a = [[0] + first, [0] + [random_scalar(rng) for _ in range(n)]]
+        rows_b = [[0] + moved, [0] + [random_scalar(rng) for _ in range(n)]]
+        A, B = P(*rows_a), P(*rows_b)
+        verdict = decide_equal(A, B)
+        assert verdict.outcome == "Distinguished"
+        searched = ref_covector_witness(A, B, n, max_candidates=3000)
+        if searched is None:
+            continue
+        if sum(abs(x) for x in searched.u) == 1:
+            assert verdict.witness == searched
+            basis_hits += 1
+        else:
+            for w in (verdict.witness, searched):
+                assert A.matrix.sign_lex(w) != B.matrix.sign_lex(w)
+            constructed += 1
+    assert basis_hits >= 5 and constructed >= 20
 
 
 def test_witness_members_of_kernel_subgroup():
