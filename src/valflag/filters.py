@@ -148,9 +148,6 @@ def farkas_certify(
     meet = IneqSystem(n)
     for c in constraints:
         meet.add(c.u, -c.gamma)
-    feasible, _ = fm_feasible(meet)
-    if not feasible:
-        raise DomainError("the constraint intersection is empty")
     violated = IneqSystem(n, meet.rows)
     violated.add([-x for x in target.u], target.gamma, strict=True)
     breaks, point = fm_feasible(violated)
@@ -162,6 +159,10 @@ def farkas_certify(
             cv = Scalar.rational(c.gamma) + dot(list(point), c.u)
             assert cv.sign() <= 0
         return CounterexamplePoint(point)
+    # Solved only here: a counterexample point already shows that the
+    # intersection is nonempty.
+    if not fm_feasible(meet)[0]:
+        raise DomainError("the constraint intersection is empty")
     multipliers = IneqSystem(len(constraints))
     for j in range(n):
         coeffs = [c.u[j] for c in constraints]

@@ -1,11 +1,15 @@
 """Exact polyhedral geometry over the scalar field.
 
 Inequality systems carry weak and strict rows; Fourier-Motzkin elimination
-decides feasibility exactly and back-substitutes a sample point.  On top of
-that sit Γ-rational polyhedra (integer normals, rational right-hand sides),
-finite unions of them, rational sets of tropical polynomials, and the
-simplicial flags read off defining matrices, with the neighborhood test
-that drives filter membership.
+decides feasibility exactly and back-substitutes a sample point.  Every row
+under elimination carries two bitmasks over the input rows: a label, which
+drops redundant combinations by Chernikov's rule, and the support of its
+multipliers, from which one elimination reads the implicit equalities that
+give a polyhedron's dimension.  On top of that sit Γ-rational polyhedra
+(integer normals, rational right-hand sides), finite unions of them,
+rational sets of tropical polynomials, and the simplicial flags read off
+defining matrices, with the neighborhood test that drives filter
+membership.
 """
 
 from __future__ import annotations
@@ -48,8 +52,13 @@ class IneqSystem:
         self.rows.append((coeffs, Scalar.coerce(rhs), strict))
 
 
-def _normalize_row(row: Row) -> Row:
-    coeffs, rhs, strict = row
+# A row under elimination: (normal, rhs, strict, label, support), where
+# label and support are bitmasks over the input rows.
+_MaskedRow = tuple[tuple[Scalar, ...], Scalar, bool, int, int]
+
+
+def _normalize_row(row: _MaskedRow) -> _MaskedRow:
+    coeffs, rhs, strict, label, support = row
     lead = next((x for x in coeffs if x), None)
     if lead is None:
         return row
@@ -58,24 +67,109 @@ def _normalize_row(row: Row) -> Row:
         tuple(x * inv for x in coeffs),
         rhs * inv,
         strict,
+        label,
+        support,
     )
 
 
-def _dedup(rows: list[Row]) -> list[Row]:
-    best: dict[tuple[Scalar, ...], tuple[Scalar, bool]] = {}
-    order: list[tuple[Scalar, ...]] = []
-    for row in rows:
-        coeffs, rhs, strict = _normalize_row(row)
+def _dedup(rows: list[_MaskedRow]) -> list[_MaskedRow]:
+    """One row per normal (rows come normalized): the tightest, labelled
+    with the intersection of the merged labels; its support is the union
+    over exact ties."""
+    best: dict[tuple[Scalar, ...], tuple[Scalar, bool, int, int]] = {}
+    for coeffs, rhs, strict, label, support in rows:
         seen = best.get(coeffs)
         if seen is None:
-            best[coeffs] = (rhs, strict)
-            order.append(coeffs)
+            best[coeffs] = (rhs, strict, label, support)
             continue
-        old_rhs, old_strict = seen
+        old_rhs, old_strict, old_label, old_support = seen
+        label &= old_label
         diff = (rhs - old_rhs).sign()
         if diff < 0 or (diff == 0 and strict and not old_strict):
-            best[coeffs] = (rhs, strict)
-    return [(c, best[c][0], best[c][1]) for c in order]
+            best[coeffs] = (rhs, strict, label, support)
+        elif diff == 0 and strict == old_strict:
+            best[coeffs] = (rhs, strict, label, support | old_support)
+        else:
+            best[coeffs] = (old_rhs, old_strict, label, old_support)
+    return [(c,) + v for c, v in best.items()]
+
+
+def _eliminate(
+    system: IneqSystem,
+) -> tuple[list[_MaskedRow], list[tuple[list[_MaskedRow], list[_MaskedRow]]]]:
+    """Fourier-Motzkin elimination of every variable, last to first.
+
+    Returns the final rows (all with zero normal) and, per variable k, the
+    rows with positive and negative coefficient on x_k when it was
+    eliminated.  A combination of two rows is strict when either parent is.
+
+    Each row carries two masks over the input rows.  Its support is the
+    set of input rows with a positive multiplier in it: the union of its
+    parents' supports.  Its label drives Chernikov's rule: after s
+    eliminations, a combined row whose label has more than s + 1 bits is
+    dropped.  This is sound.  The multiplier vectors λ of the rows at
+    level s form the cone {λ ≥ 0, λA_elim = 0} over the s eliminated
+    columns, whose extreme rays have at most s + 1 nonzero entries.  Every
+    row is a positive combination of the rows of those rays, hence implied
+    by them (a strict input row with positive weight lies in some ray with
+    positive weight, so strictness is implied too).  Each extreme ray is
+    an extreme ray of the level before with zero coefficient on the
+    eliminated variable, or a combination of one positive and one negative
+    such ray.  By induction each ray's row is dominated (same normal, rhs
+    no larger, strict if it is) by a kept row whose label is a subset of
+    the ray's support: combining two dominating rows dominates the
+    combination, and _dedup labels a merged row with the intersection of
+    the labels, so the dominating row is never dropped.  Hence every level
+    describes the same projection as without pruning, and back-substitution
+    meets the same intervals and picks the same point.
+
+    Supports reach every implicit equality of a feasible system: a row
+    on a chain that ends in 0 <= 0 meets only exact ties in _dedup (a
+    strictly tighter row with its normal would combine along the same
+    chain into 0 < 0 or 0 <= negative, making the system infeasible), and
+    exact ties take the union of the supports.
+    """
+    d = system.d
+    work = _dedup([
+        _normalize_row((c, r, s, 1 << i, 1 << i))
+        for i, (c, r, s) in enumerate(system.rows)
+    ])
+    levels: list[tuple[list[_MaskedRow], list[_MaskedRow]]] = [([], [])] * d
+    for k in range(d - 1, -1, -1):
+        max_bits = d - k + 1
+        zero: list[_MaskedRow] = []
+        pos: list[_MaskedRow] = []
+        neg: list[_MaskedRow] = []
+        for row in work:
+            s = row[0][k].sign()
+            if s == 0:
+                zero.append(row)
+            elif s > 0:
+                pos.append(row)
+            else:
+                neg.append(row)
+        levels[k] = (pos, neg)
+        combined = zero
+        for pc, pr, ps, pl, pm in pos:
+            for nc, nr, ns, nl, nm in neg:
+                label = pl | nl
+                if label.bit_count() > max_bits:
+                    continue
+                a, nb = pc[k], -nc[k]
+                coeffs = tuple(x * nb + y * a for x, y in zip(pc, nc))
+                combined.append(_normalize_row(
+                    (coeffs, pr * nb + nr * a, ps or ns, label, pm | nm)
+                ))
+        work = _dedup(combined)
+    return work, levels
+
+
+def _consistent(final: list[_MaskedRow]) -> bool:
+    for _, rhs, strict, _, _ in final:
+        s = rhs.sign()
+        if s < 0 or (strict and s == 0):
+            return False
+    return True
 
 
 def fm_feasible(
@@ -83,49 +177,25 @@ def fm_feasible(
 ) -> tuple[bool, Optional[tuple[Scalar, ...]]]:
     """Fourier-Motzkin feasibility with an exact sample point.
 
-    Variables are eliminated from the last to the first; a combination of
-    two rows is strict when either parent is.  On success the bounds
-    collected at each level are back-substituted, preferring simple
-    rational values inside open intervals.
+    Variables are eliminated by _eliminate, with Chernikov pruning.  On
+    success the bounds collected at each level are back-substituted,
+    preferring simple rational values inside open intervals.
     """
-    work = _dedup(list(system.rows))
-    levels: list[tuple[list[Row], list[Row]]] = [([], [])] * system.d
-    for k in range(system.d - 1, -1, -1):
-        zero: list[Row] = []
-        pos: list[Row] = []
-        neg: list[Row] = []
-        for coeffs, rhs, strict in work:
-            s = coeffs[k].sign()
-            if s == 0:
-                zero.append((coeffs, rhs, strict))
-            elif s > 0:
-                pos.append((coeffs, rhs, strict))
-            else:
-                neg.append((coeffs, rhs, strict))
-        levels[k] = (pos, neg)
-        combined = zero
-        for pc, pr, ps in pos:
-            for nc, nr, ns in neg:
-                a, nb = pc[k], -nc[k]
-                coeffs = tuple(x * nb + y * a for x, y in zip(pc, nc))
-                combined.append((coeffs, pr * nb + nr * a, ps or ns))
-        work = _dedup(combined)
-    for _, rhs, strict in work:
-        s = rhs.sign()
-        if s < 0 or (strict and s == 0):
-            return False, None
+    final, levels = _eliminate(system)
+    if not _consistent(final):
+        return False, None
     point: list[Scalar] = []
     for k in range(system.d):
         pos, neg = levels[k]
         upper: Optional[tuple[Scalar, bool]] = None
         lower: Optional[tuple[Scalar, bool]] = None
-        for coeffs, rhs, strict in pos:
+        for coeffs, rhs, strict, _, _ in pos:
             bound = (rhs - dot(point, coeffs[:k])) / coeffs[k]
             if upper is None or (bound - upper[0]).sign() < 0 or (
                 bound == upper[0] and strict and not upper[1]
             ):
                 upper = (bound, strict)
-        for coeffs, rhs, strict in neg:
+        for coeffs, rhs, strict, _, _ in neg:
             bound = (rhs - dot(point, coeffs[:k])) / coeffs[k]
             if lower is None or (bound - lower[0]).sign() > 0 or (
                 bound == lower[0] and strict and not lower[1]
@@ -180,7 +250,9 @@ class GammaPolyhedron:
                 raise DimensionError(
                     f"normal of length {len(u)} in dimension {n}"
                 )
-            if not all(isinstance(x, int) for x in u):
+            if not all(
+                isinstance(x, int) and not isinstance(x, bool) for x in u
+            ):
                 raise DomainError("normals must be integral")
             clean.append((u, Fraction(gamma)))
         self.rows: tuple[tuple[tuple[int, ...], Fraction], ...] = tuple(clean)
@@ -215,19 +287,24 @@ class GammaPolyhedron:
     def dim(self) -> int:
         """Dimension of the polyhedron; -1 when empty.
 
-        A row is an implicit equality when making it strict empties the
-        polyhedron; the dimension is n minus the rank of those normals.
+        One Fourier-Motzkin pass.  A row is an implicit equality when some
+        nonnegative combination with a positive weight on it reads
+        0 <= 0; those rows are the union of the supports of the final
+        rows with right-hand side 0 (see _eliminate).  The dimension is n
+        minus the rank of their normals.
         """
-        if self.is_empty():
+        final, _ = _eliminate(self.system())
+        if not _consistent(final):
             return -1
-        eq_normals: list[list[Fraction]] = []
-        for i in range(len(self.rows)):
-            s = IneqSystem(self.n)
-            for j, (u, gamma) in enumerate(self.rows):
-                s.add(u, Fraction(gamma), strict=(i == j))
-            feasible, _ = fm_feasible(s)
-            if not feasible:
-                eq_normals.append([Fraction(x) for x in self.rows[i][0]])
+        support = 0
+        for _, rhs, _, _, mask in final:
+            if not rhs:
+                support |= mask
+        eq_normals = [
+            [Fraction(x) for x in u]
+            for i, (u, _) in enumerate(self.rows)
+            if support >> i & 1
+        ]
         return self.n - field_rank(eq_normals)
 
     def __eq__(self, other: object) -> bool:

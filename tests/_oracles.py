@@ -11,6 +11,11 @@ rule that ``Scalar.__mul__`` uses to stay reduced.
 
 The equality-witness oracle searches integer boxes for a separating term,
 where ``decide_equal`` constructs one from the stage covectors.
+
+The Fourier-Motzkin oracle eliminates with duplicate removal only, where
+the library also drops rows by Chernikov's rule, and its dimension test
+makes one row strict at a time, where ``GammaPolyhedron.dim`` reads the
+implicit equalities off one elimination.
 """
 
 from __future__ import annotations
@@ -22,10 +27,13 @@ from itertools import combinations, product
 from valflag import (
     DefiningMatrix,
     ExponentVector,
+    GammaPolyhedron,
     Prime,
     Scalar,
     canonicalize,
 )
+from valflag.linalg import field_rank
+from valflag.scalars import ZERO, dot, simplest_between
 
 RatRow = tuple[list[Fraction], Fraction, bool]
 
@@ -84,6 +92,122 @@ def naive_feasible(rows: list[RatRow], d: int, box: int = 10**5) -> bool:
             if best is None or delta > best:
                 best = delta
     return best is not None and best > 0
+
+
+# -- Fourier-Motzkin without pruning ------------------------------------------
+
+ScalarRow = tuple[tuple[Scalar, ...], Scalar, bool]
+
+
+def _ref_normalize(row: ScalarRow) -> ScalarRow:
+    coeffs, rhs, strict = row
+    lead = next((x for x in coeffs if x), None)
+    if lead is None:
+        return row
+    if lead.sign() < 0:
+        lead = -lead
+    return tuple(x / lead for x in coeffs), rhs / lead, strict
+
+
+def _ref_dedup(rows: list[ScalarRow]) -> list[ScalarRow]:
+    best: dict[tuple[Scalar, ...], tuple[Scalar, bool]] = {}
+    for row in rows:
+        coeffs, rhs, strict = _ref_normalize(row)
+        seen = best.get(coeffs)
+        if seen is None:
+            best[coeffs] = (rhs, strict)
+            continue
+        diff = (rhs - seen[0]).sign()
+        if diff < 0 or (diff == 0 and strict and not seen[1]):
+            best[coeffs] = (rhs, strict)
+    return [(c, r, s) for c, (r, s) in best.items()]
+
+
+def _ref_pick(lower, upper) -> Scalar:
+    if lower is None and upper is None:
+        return ZERO
+    if lower is None:
+        hi, strict = upper
+        if not strict:
+            return hi
+        f = hi.floor()
+        return Scalar.rational(f if Scalar.rational(f) < hi else f - 1)
+    if upper is None:
+        lo, strict = lower
+        return lo if not strict else Scalar.rational(lo.floor() + 1)
+    lo, hi = lower[0], upper[0]
+    if lo == hi:
+        return lo
+    return Scalar.rational(simplest_between(lo, hi))
+
+
+def ref_fm_feasible(
+    d: int, rows: list[ScalarRow]
+) -> tuple[bool, tuple[Scalar, ...] | None]:
+    """Fourier-Motzkin that keeps every combination up to duplicate
+    normals, with the library's back-substitution rule for the point."""
+    work = _ref_dedup(list(rows))
+    levels = [([], [])] * d
+    for k in range(d - 1, -1, -1):
+        zero = [r for r in work if r[0][k].sign() == 0]
+        pos = [r for r in work if r[0][k].sign() > 0]
+        neg = [r for r in work if r[0][k].sign() < 0]
+        levels[k] = (pos, neg)
+        for pc, pr, ps in pos:
+            for nc, nr, ns in neg:
+                a, nb = pc[k], -nc[k]
+                zero.append((
+                    tuple(x * nb + y * a for x, y in zip(pc, nc)),
+                    pr * nb + nr * a,
+                    ps or ns,
+                ))
+        work = _ref_dedup(zero)
+    for _, rhs, strict in work:
+        s = rhs.sign()
+        if s < 0 or (strict and s == 0):
+            return False, None
+    point: list[Scalar] = []
+    for k in range(d):
+        pos, neg = levels[k]
+        upper = lower = None
+        for coeffs, rhs, strict in pos:
+            bound = (rhs - dot(point, coeffs[:k])) / coeffs[k]
+            if upper is None or (bound - upper[0]).sign() < 0 or (
+                bound == upper[0] and strict and not upper[1]
+            ):
+                upper = (bound, strict)
+        for coeffs, rhs, strict in neg:
+            bound = (rhs - dot(point, coeffs[:k])) / coeffs[k]
+            if lower is None or (bound - lower[0]).sign() > 0 or (
+                bound == lower[0] and strict and not lower[1]
+            ):
+                lower = (bound, strict)
+        point.append(_ref_pick(lower, upper))
+    return True, tuple(point)
+
+
+def ref_dim(U: GammaPolyhedron) -> int:
+    """Dimension by one feasibility test per row: a row is an implicit
+    equality when making it strict empties the polyhedron."""
+
+    def rows(strict_row: int) -> list[ScalarRow]:
+        return [
+            (
+                tuple(Scalar.rational(x) for x in u),
+                Scalar.rational(gamma),
+                i == strict_row,
+            )
+            for i, (u, gamma) in enumerate(U.rows)
+        ]
+
+    if not ref_fm_feasible(U.n, rows(-1))[0]:
+        return -1
+    eq_normals = [
+        [Fraction(x) for x in U.rows[i][0]]
+        for i in range(len(U.rows))
+        if not ref_fm_feasible(U.n, rows(i))[0]
+    ]
+    return U.n - field_rank(eq_normals)
 
 
 # -- scalar arithmetic through the reducing constructor -----------------------

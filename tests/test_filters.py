@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -155,6 +156,26 @@ def test_farkas_fractional_multipliers_cleared():
     cert = farkas_certify([ev("t^0*x^2")], ev("t^0*x"))
     assert isinstance(cert, FarkasCertificate)
     assert cert.m == 2 and cert.m_l == (1,)
+
+
+def test_farkas_seven_term_certificate_is_fast():
+    # Six constraints in three variables: without Chernikov pruning the
+    # multiplier system took seconds to eliminate.
+    names = ["x", "y", "z"]
+    terms = [
+        parse_term(t, names)
+        for t in (
+            "t^-14*x^5*y^4*z^-2", "t^-7*x^-2*y^-1*z", "t^2*x^2*y*z^-3",
+            "t^-11*x^-3*y^3", "t^3*x*y^-2*z^-2", "t^-5*x*y^3*z",
+            "t^-6*y^2*z^3",
+        )
+    ]
+    start = time.perf_counter()
+    cert = farkas_certify(terms[1:], terms[0])
+    assert time.perf_counter() - start < 1
+    assert cert == FarkasCertificate(
+        558, (558, 1395, 18, 1021, 149, 1468), Fraction(8)
+    )
 
 
 def test_farkas_empty_intersection_rejected():

@@ -29,7 +29,13 @@ from valflag import (
 )
 from valflag.scalars import ZERO, dot
 
-from _oracles import naive_feasible, random_prime
+from _oracles import (
+    naive_feasible,
+    random_prime,
+    random_scalar,
+    ref_dim,
+    ref_fm_feasible,
+)
 
 R2 = Scalar.sqrt(2)
 R3 = Scalar.sqrt(3)
@@ -107,6 +113,43 @@ def test_fm_matches_naive_oracle():
                 assert slack > 0 or (slack == 0 and not strict)
 
 
+def test_fm_matches_unpruned_oracle():
+    # Up to 12 rows in up to five variables, entries in {-1, 0, 1} and
+    # some irrational ones: enough rows per variable that Chernikov's rule
+    # drops combinations.  The feasibility and the sample point must not
+    # change.
+    rng = random.Random(7)
+
+    def entry(irrational):
+        r = rng.random()
+        if r < 0.2:
+            return ZERO
+        if irrational and r < 0.3:
+            return random_scalar(rng, irrational_p=1.0)
+        return Scalar.rational(rng.randint(-1, 1))
+
+    feasible_count = 0
+    for i in range(150):
+        irrational = i % 2 == 1
+        d = rng.randint(2, 5)
+        rows = [
+            (
+                tuple(entry(irrational) for _ in range(d)),
+                random_scalar(rng, irrational_p=0.3 if irrational else 0),
+                rng.random() < 0.4,
+            )
+            for _ in range(rng.randint(d + 1, min(12, 48 // d)))
+        ]
+        feasible, point = fm_feasible(IneqSystem(d, rows))
+        assert (feasible, point) == ref_fm_feasible(d, rows)
+        if feasible:
+            feasible_count += 1
+            for coeffs, rhs, strict in rows:
+                slack = (rhs - dot(point, coeffs)).sign()
+                assert slack > 0 or (slack == 0 and not strict)
+    assert 30 <= feasible_count <= 120
+
+
 def test_ineq_system_rejects_bad_rows():
     with pytest.raises(DimensionError):
         IneqSystem(2).add([1], 0)
@@ -125,6 +168,8 @@ def box(lo, hi):
 def test_polyhedron_validation():
     with pytest.raises(DomainError):
         GammaPolyhedron(1, [((Fraction(1, 2),), Fraction(0))])
+    with pytest.raises(DomainError):
+        GammaPolyhedron(2, [((True, 0), 1)])
     with pytest.raises(DimensionError):
         GammaPolyhedron(2, [((1,), Fraction(0))])
     with pytest.raises(DimensionError):
@@ -154,6 +199,41 @@ def test_polyhedron_dim():
     empty = GammaPolyhedron(2, [((1, 0), 0), ((-1, 0), -1)])
     assert empty.dim() == -1
     assert empty.is_empty()
+
+
+def test_polyhedron_dim_matches_per_row_oracle():
+    # Planted equalities: rows u_1, ..., u_j and -(u_1 + ... + u_j), all
+    # tight at a rational point x0, force those normals to be equalities;
+    # further rows are tight or slack at x0, and a shifted closing row
+    # empties the polyhedron.
+    rng = random.Random(8)
+    seen = set()
+    for _ in range(500):
+        n = rng.randint(1, 4)
+        x0 = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+
+        def row(u, slack=0):
+            return u, sum((a * x for a, x in zip(u, x0)), Fraction(slack))
+
+        rows = []
+        for _ in range(rng.randint(0, 2)):
+            group = [
+                tuple(rng.randint(-1, 1) for _ in range(n))
+                for _ in range(rng.randint(1, 3))
+            ]
+            closing = tuple(-sum(col) for col in zip(*group))
+            shift = -1 if rng.random() < 0.1 else 0
+            rows.extend(row(u) for u in group)
+            rows.append(row(closing, shift))
+        for _ in range(rng.randint(0, 4)):
+            u = tuple(rng.randint(-1, 1) for _ in range(n))
+            rows.append(row(u, rng.choice((0, 0, 1, Fraction(1, 2)))))
+        rng.shuffle(rows)
+        U = GammaPolyhedron(n, rows)
+        got = U.dim()
+        assert got == ref_dim(U), U
+        seen.add(got)
+    assert seen == {-1, 0, 1, 2, 3, 4}
 
 
 def test_polyhedron_intersection():
