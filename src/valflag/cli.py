@@ -9,6 +9,7 @@ terms are passed inline.  Exit codes: 0 success, 1 negative decision
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -355,10 +356,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first call to main, not at import, and reused: parsing
+    # leaves the parser unchanged, and each call gets a fresh namespace.
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    """Run one verb; the parser is built once per process."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

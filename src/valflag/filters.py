@@ -21,6 +21,7 @@ from .polyhedra import (
     GammaPolyhedralSet,
     GammaPolyhedron,
     IneqSystem,
+    _feasible,
     flag_from_matrix,
     fm_feasible,
     is_neighborhood,
@@ -161,7 +162,7 @@ def farkas_certify(
         return CounterexamplePoint(point)
     # Solved only here: a counterexample point already shows that the
     # intersection is nonempty.
-    if not fm_feasible(meet)[0]:
+    if not _feasible(meet):
         raise DomainError("the constraint intersection is empty")
     multipliers = IneqSystem(len(constraints))
     for j in range(n):

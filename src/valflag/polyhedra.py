@@ -1,9 +1,14 @@
 """Exact polyhedral geometry over the scalar field.
 
 Inequality systems carry weak and strict rows; Fourier-Motzkin elimination
-decides feasibility exactly and back-substitutes a sample point.  Every row
-under elimination carries two bitmasks over the input rows: a label, which
-drops redundant combinations by Chernikov's rule, and the support of its
+decides feasibility exactly.  ``fm_feasible`` also back-substitutes a sample
+point, for ``GammaPolyhedron.sample`` and the counterexamples and
+certificates of ``filters.farkas_certify``; ``is_neighborhood``,
+``in_cone``, ``GammaPolyhedron.is_empty`` and the empty-intersection check
+of ``farkas_certify`` read only the answer and skip back-substitution.
+Every row under elimination carries two bitmasks over the input rows: a
+label, which drops redundant combinations by Chernikov's rule, and the
+support of its
 multipliers, from which one elimination reads the implicit equalities that
 give a polyhedron's dimension.  On top of that sit Γ-rational polyhedra
 (integer normals, rational right-hand sides), finite unions of them,
@@ -172,6 +177,11 @@ def _consistent(final: list[_MaskedRow]) -> bool:
     return True
 
 
+def _feasible(system: IneqSystem) -> bool:
+    """Fourier-Motzkin feasibility without a sample point."""
+    return _consistent(_eliminate(system)[0])
+
+
 def fm_feasible(
     system: IneqSystem,
 ) -> tuple[bool, Optional[tuple[Scalar, ...]]]:
@@ -179,7 +189,10 @@ def fm_feasible(
 
     Variables are eliminated by _eliminate, with Chernikov pruning.  On
     success the bounds collected at each level are back-substituted,
-    preferring simple rational values inside open intervals.
+    preferring simple rational values inside open intervals.  Callers
+    that need only the answer use _feasible, which skips the
+    back-substitution: is_neighborhood, in_cone, GammaPolyhedron.is_empty
+    and the empty-intersection check of filters.farkas_certify.
     """
     final, levels = _eliminate(system)
     if not _consistent(final):
@@ -273,8 +286,7 @@ class GammaPolyhedron:
         return True
 
     def is_empty(self) -> bool:
-        feasible, _ = fm_feasible(self.system())
-        return not feasible
+        return not _feasible(self.system())
 
     def sample(self) -> Optional[tuple[Scalar, ...]]:
         return fm_feasible(self.system())[1]
@@ -477,8 +489,7 @@ def is_neighborhood(U: GammaPolyhedron, F: Flag) -> bool:
         for j in range(i):
             s.add([ZERO] * j + [Scalar.rational(-1)] + [ZERO] * (i - j - 1),
                   ZERO, strict=True)
-        feasible, _ = fm_feasible(s)
-        if not feasible:
+        if not _feasible(s):
             return False
     return True
 
@@ -513,8 +524,7 @@ def in_cone(v: Sequence[ScalarLike], generators: Sequence[Sequence[ScalarLike]])
         s.add([-c for c in coeffs], -vec[t])
     for j in range(m):
         s.add([ZERO] * j + [Scalar.rational(-1)] + [ZERO] * (m - j - 1), ZERO)
-    feasible, _ = fm_feasible(s)
-    return feasible
+    return _feasible(s)
 
 
 def relative_interior_matrix(

@@ -6,9 +6,10 @@ the rational part.  Because square roots of distinct squarefree integers are
 linearly independent over the rationals, the representation is unique and
 the zero test is structural: a scalar is zero iff its term map is empty.
 
-Sign determination never trusts floating point: it brackets the value with
-rational interval arithmetic (``math.isqrt`` bounds) at doubling precision,
-which terminates for any nonzero value.
+Sign determination never trusts floating point: it brackets the value
+between two integers over one common denominator (``math.isqrt`` bounds on
+each radical) at doubling precision, which terminates for any nonzero
+value.
 
 Non-goals: general real algebraic numbers (cubic or higher radicals raise
 no claim here; the representable field is exactly ℚ(sqrt(d1), ..., sqrt(dr))
@@ -28,7 +29,6 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import CapacityError, ParseError
@@ -89,18 +89,10 @@ def squarefree_split(n: int) -> tuple[int, int]:
     return outer, inner * n
 
 
-@lru_cache(maxsize=None)
-def _sqrt_bounds(n: int, prec: int) -> tuple[Fraction, Fraction]:
-    # lo <= sqrt(n) < hi with hi - lo = 2**-prec
-    t = math.isqrt(n << (2 * prec))
-    scale = 1 << prec
-    return Fraction(t, scale), Fraction(t + 1, scale)
-
-
 class Scalar:
     """An element of a real multi-quadratic field, exact and immutable."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[int, RationalLike] | None = None):
         """Build from a map radicand -> coefficient.
@@ -125,6 +117,7 @@ class Scalar:
                     del reduced[inner]
         _check_radical_cap(len(reduced) - (1 in reduced))
         self._terms = reduced
+        self._hash = None
 
     # -- constructors -------------------------------------------------
 
@@ -148,6 +141,7 @@ class Scalar:
                 _check_radical_cap(nrad)
         out = object.__new__(cls)
         out._terms = terms
+        out._hash = None
         return out
 
     @classmethod
@@ -287,21 +281,29 @@ class Scalar:
 
     # -- order ----------------------------------------------------------
 
-    def _interval(self, prec: int) -> tuple[Fraction, Fraction]:
-        lo = hi = Fraction(0)
+    def _interval(self, prec: int) -> tuple[int, int, int]:
+        """(lo, hi, den) with lo/den <= self <= hi/den.
+
+        den is the common denominator of the coefficients times 2**prec,
+        and t/2**prec <= sqrt(n) < (t+1)/2**prec with t = isqrt(n*4**prec)
+        brackets each radical, so every term adds integer numerators.
+        """
+        den = math.lcm(*(q.denominator for q in self._terms.values()))
+        lo = hi = 0
         for n, q in self._terms.items():
+            a = q.numerator * (den // q.denominator)
             if n == 1:
-                lo += q
-                hi += q
+                lo += a << prec
+                hi += a << prec
                 continue
-            slo, shi = _sqrt_bounds(n, prec)
-            if q >= 0:
-                lo += q * slo
-                hi += q * shi
+            t = math.isqrt(n << (2 * prec))
+            if a >= 0:
+                lo += a * t
+                hi += a * (t + 1)
             else:
-                lo += q * shi
-                hi += q * slo
-        return lo, hi
+                lo += a * (t + 1)
+                hi += a * t
+        return lo, hi, den << prec
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}."""
@@ -312,7 +314,7 @@ class Scalar:
             return -1 if q < 0 else 1
         prec = 64
         while True:
-            lo, hi = self._interval(prec)
+            lo, hi, _ = self._interval(prec)
             if lo > 0:
                 return 1
             if hi < 0:
@@ -327,7 +329,14 @@ class Scalar:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self._terms.items())))
+        # Rational scalars hash as their Fraction, so that they agree with
+        # the ints and Fractions they compare equal to.
+        if self._hash is None:
+            self._hash = hash(
+                self.rational_part() if self.is_rational()
+                else frozenset(self._terms.items())
+            )
+        return self._hash
 
     def __lt__(self, other: ScalarLike) -> bool:
         return (self - other).sign() < 0
@@ -348,10 +357,9 @@ class Scalar:
             return q.numerator // q.denominator
         prec = 64
         while True:
-            lo, hi = self._interval(prec)
-            flo = lo.numerator // lo.denominator
-            fhi = hi.numerator // hi.denominator
-            if flo == fhi:
+            lo, hi, den = self._interval(prec)
+            flo = lo // den
+            if flo == hi // den:
                 return flo
             prec *= 2
 

@@ -9,6 +9,10 @@ The scalar arithmetic oracle builds every result through the public
 Products hand it the unreduced key m*n, so they share nothing with the gcd
 rule that ``Scalar.__mul__`` uses to stay reduced.
 
+The sign oracle brackets a scalar by adding Fractions, one ``math.isqrt``
+bound per radical, where ``Scalar._interval`` sums integer numerators over
+one common denominator.
+
 The equality-witness oracle searches integer boxes for a separating term,
 where ``decide_equal`` constructs one from the stage covectors.
 
@@ -20,6 +24,7 @@ implicit equalities off one elimination.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -249,6 +254,47 @@ def ref_div(a: Scalar, b: Scalar) -> Scalar:
         conj = Scalar({n: (-q if n % p == 0 else q) for n, q in den.items()})
         num, den = ref_mul(num, conj), ref_mul(den, conj)
     return ref_scale(num, 1 / den.as_rational())
+
+
+# -- signs by Fraction brackets ----------------------------------------------
+
+
+def ref_interval(a: Scalar, prec: int) -> tuple[Fraction, Fraction]:
+    """lo <= a <= hi, each sqrt(n) bracketed to within 2**-prec."""
+    lo = hi = Fraction(0)
+    for n, q in a.items():
+        if n == 1:
+            lo += q
+            hi += q
+            continue
+        t = math.isqrt(n << (2 * prec))
+        slo, shi = Fraction(t, 1 << prec), Fraction(t + 1, 1 << prec)
+        if q >= 0:
+            lo += q * slo
+            hi += q * shi
+        else:
+            lo += q * shi
+            hi += q * slo
+    return lo, hi
+
+
+def ref_sign_floor(a: Scalar) -> tuple[int, int]:
+    """(sign, floor) of a by doubling the bracket precision from 64."""
+    sign = floor = None
+    prec = 64
+    while sign is None or floor is None:
+        lo, hi = ref_interval(a, prec)
+        if sign is None:
+            if not a.items():
+                sign = 0
+            elif lo > 0:
+                sign = 1
+            elif hi < 0:
+                sign = -1
+        if floor is None and math.floor(lo) == math.floor(hi):
+            floor = math.floor(lo)
+        prec *= 2
+    return sign, floor
 
 
 # -- equality witnesses by search ---------------------------------------------

@@ -284,3 +284,37 @@ def test_no_arguments(capsys):
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     assert "canon" in capsys.readouterr().out
+
+
+def test_parser_built_once_and_reused(tmp_path, capsys, monkeypatch):
+    # Options set by one call must not leak into the next: --homog and
+    # --kind return to their defaults, and a usage error leaves the parser
+    # usable.
+    noncont = jfile(tmp_path, "m.json", NONCONT)
+    calls = [
+        ["flag", "--kind", "bogus", noncont],
+        ["cert", "--homog", "x", "x"],
+        ["cert", "x", "x"],
+        ["flag", "--kind", "polyhedra", noncont],
+        ["flag", noncont],
+    ]
+    builds = []
+    build = cli.build_parser
+
+    def counting_build():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+
+    def run(argv):
+        code = cli.main(argv)
+        return code, capsys.readouterr().out
+
+    first = [run(argv) for argv in calls]
+    assert [code for code, _ in first] == [2, 3, 0, 3, 0]
+    assert json.loads(first[2][1]) == {"m": 1, "m_l": [1], "b": "0"}
+    assert json.loads(first[4][1])["kind"] == "cones"
+    assert [run(argv) for argv in calls] == first
+    assert len(builds) == 1

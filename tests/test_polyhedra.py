@@ -27,6 +27,7 @@ from valflag import (
     relative_interior_matrix,
     simplicialize,
 )
+from valflag.polyhedra import _feasible
 from valflag.scalars import ZERO, dot
 
 from _oracles import (
@@ -117,7 +118,7 @@ def test_fm_matches_unpruned_oracle():
     # Up to 12 rows in up to five variables, entries in {-1, 0, 1} and
     # some irrational ones: enough rows per variable that Chernikov's rule
     # drops combinations.  The feasibility and the sample point must not
-    # change.
+    # change, and the feasibility-only helper must give the same answer.
     rng = random.Random(7)
 
     def entry(irrational):
@@ -140,8 +141,10 @@ def test_fm_matches_unpruned_oracle():
             )
             for _ in range(rng.randint(d + 1, min(12, 48 // d)))
         ]
-        feasible, point = fm_feasible(IneqSystem(d, rows))
+        system = IneqSystem(d, rows)
+        feasible, point = fm_feasible(system)
         assert (feasible, point) == ref_fm_feasible(d, rows)
+        assert _feasible(system) == feasible
         if feasible:
             feasible_count += 1
             for coeffs, rhs, strict in rows:

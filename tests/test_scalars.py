@@ -6,7 +6,17 @@ import pytest
 from valflag import CapacityError, ParseError, Scalar, format_scalar, parse_scalar, simplest_between
 from valflag.scalars import ONE, ZERO, rational_part_basis, squarefree_split
 
-from _oracles import random_rational, ref_add, ref_div, ref_mul, ref_neg, ref_scale, ref_sub
+from _oracles import (
+    random_rational,
+    ref_add,
+    ref_div,
+    ref_interval,
+    ref_mul,
+    ref_neg,
+    ref_scale,
+    ref_sign_floor,
+    ref_sub,
+)
 
 
 def test_parse_example():
@@ -90,6 +100,36 @@ def test_sign_matches_float_approx():
         approx = s.approx()
         if abs(approx) > 1e-9:
             assert s.sign() == (1 if approx > 0 else -1)
+
+
+def test_sign_and_floor_agree_with_fraction_brackets():
+    rng = random.Random(43)
+    r2 = Scalar.sqrt(2)
+    values = []
+    # p - q*sqrt(2) for the convergents p/q of sqrt(2) is about 1/(3q), so
+    # its sign and floor need brackets of about 2*log2(q) bits: up to 256
+    # here (q near 2**100), two refinements past the first 64.
+    p, q = 1, 1
+    for _ in range(80):
+        values.append(Scalar.rational(p) - r2._scale(q))
+        values.append(r2._scale(Fraction(q, 5)) - Fraction(p, 5) + 7)
+        p, q = p + 2 * q, p + q
+    radicands = (1, 2, 3, 5, 6, 7)
+    for _ in range(300):
+        k = rng.randint(0, 4)
+        values.append(Scalar({
+            r: random_rational(rng, bound=20, den=9)
+            for r in rng.sample(radicands, k)
+        }))
+    deep = 0
+    for a in values:
+        assert (a.sign(), a.floor()) == ref_sign_floor(a)
+        for prec in (64, 128, 256):
+            lo, hi, den = a._interval(prec)
+            assert (Fraction(lo, den), Fraction(hi, den)) == ref_interval(a, prec)
+        lo, hi, _ = a._interval(128)
+        deep += lo <= 0 <= hi and bool(a)
+    assert deep >= 20
 
 
 def test_floor():
@@ -202,6 +242,13 @@ def test_hash_consistency():
     a = parse_scalar("1 + sqrt(2)")
     b = Scalar.rational(1) + Scalar.sqrt(2)
     assert a == b and hash(a) == hash(b)
+    assert Scalar({2: 1, 1: 1}) in {Scalar({1: 1, 2: 1})}
+    # rational scalars agree with the ints and Fractions they equal
+    assert 3 in {Scalar.rational(3)} and Scalar.rational(3) in {3}
+    assert {Scalar.rational(Fraction(-5, 2)): 1}[Fraction(-5, 2)] == 1
+    assert {Fraction(2, 3): 1}[parse_scalar("2/3")] == 1
+    assert 0 in {ZERO} and Fraction(0) in {ZERO} and ZERO in {0}
+    assert Scalar.sqrt(4) in {2} and 1 not in {Scalar.sqrt(2)}
 
 
 def test_rational_part_basis():
