@@ -13,7 +13,6 @@ import functools
 import json
 import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -258,12 +257,9 @@ def _cmd_plot(args) -> int:
         print("error: plot data is produced for n = 2 only", file=sys.stderr)
         return 2
     F = polyhedra.flag_from_matrix(P, "polyhedra")
-    half = Fraction(1, 2)
-    box = []
-    for v in F.base:
-        c = (v + Scalar.rational(half)).floor()
-        box.append(Scalar.rational(c - 3))
-        box.append(Scalar.rational(c + 3))
+    box = [
+        Scalar.rational(x) for pair in filters._vertex_box(F) for x in pair
+    ]
     print(
         json.dumps(
             {

@@ -33,7 +33,6 @@ from .prime import (
     LESS,
     Prime,
     classify,
-    compare_terms,
     final_kernel,
     min_filter_dim,
 )
@@ -120,10 +119,10 @@ def filter_member(
 def halfspace_member(P: Prime, a: ExponentVector) -> bool:
     """Is R(1, aχ^u) = {x : γ + ⟨x,u⟩ ≤ 0} in the filter?
 
-    A pure lex comparison: true exactly when a ≤_P 1.
+    A pure lex comparison: true exactly when a ≤_P 1, that is, when the lex
+    sign of C·a is not positive.
     """
-    unit = ExponentVector(Fraction(0), (0,) * a.n)
-    return compare_terms(P, a, unit) != GREATER
+    return P.matrix.sign_lex(a) <= 0
 
 
 def halfspace_polyhedron(a: ExponentVector) -> GammaPolyhedron:
@@ -208,17 +207,23 @@ def mindim_witness(P: Prime) -> GammaPolyhedron:
         rows.append((u, -alpha))
         rows.append((tuple(-x for x in u), alpha))
     flag = flag_from_matrix(P, "polyhedra")
-    half = Fraction(1, 2)
-    for j, v in enumerate(flag.base):
-        c = (v + Scalar.rational(half)).floor()
+    for j, (lo, hi) in enumerate(_vertex_box(flag)):
         unit = [0] * n
         unit[j] = 1
-        rows.append((tuple(unit), Fraction(c + 3)))
-        rows.append((tuple(-x for x in unit), Fraction(3 - c)))
+        rows.append((tuple(unit), Fraction(hi)))
+        rows.append((tuple(-x for x in unit), Fraction(-lo)))
     witness = GammaPolyhedron(n, rows)
     assert filter_member(P, witness).member
     assert witness.dim() == min_filter_dim(P)
     return witness
+
+
+def _vertex_box(flag: Flag) -> list[tuple[int, int]]:
+    """Per coordinate, the integer bounds of a box of side 6 centred on the
+    integer point nearest the flag vertex (halves round up)."""
+    half = Scalar.rational(Fraction(1, 2))
+    centres = [(v + half).floor() for v in flag.base]
+    return [(c - 3, c + 3) for c in centres]
 
 
 def reconstruct_preorder(

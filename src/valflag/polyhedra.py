@@ -267,6 +267,8 @@ class GammaPolyhedron:
                 isinstance(x, int) and not isinstance(x, bool) for x in u
             ):
                 raise DomainError("normals must be integral")
+            if isinstance(gamma, float):
+                raise DomainError("right-hand sides must be exact rationals")
             clean.append((u, Fraction(gamma)))
         self.rows: tuple[tuple[tuple[int, ...], Fraction], ...] = tuple(clean)
 

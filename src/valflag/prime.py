@@ -3,6 +3,9 @@
 A defining matrix C is a (k+1) x (n+1) scalar matrix whose first column is
 lexicographically nonnegative.  It orders terms t^gamma * x^u by the lex
 order of C·(gamma, u), and polynomials by the lex maximum over their terms.
+Every comparison is one lex sign, DefiningMatrix.sign_lex: since C is
+linear, terms a and b compare by the sign of C·(a − b), and the rows are
+evaluated only down to the first nonzero one.
 Canonicalization applies only order-preserving row operations (positive
 scaling, adding a multiple of a row to a row below it, dropping zero rows),
 so the canonical matrix defines the same congruence.
@@ -84,19 +87,26 @@ class DefiningMatrix:
                 return False
         return True
 
-    def apply(self, ev: ExponentVector) -> list[Scalar]:
-        """The lex value C·(gamma, u)."""
+    def _values(self, ev: ExponentVector):
+        """The entries of C·(gamma, u), one row at a time."""
         if ev.n != self.n:
             raise DimensionError(
                 f"exponent vector of length {ev.n} for n={self.n}"
             )
-        return [
-            row[0]._scale(ev.gamma) + dot(row[1:], ev.u) for row in self.rows
-        ]
+        point = (ev.gamma, *ev.u)
+        for row in self.rows:
+            yield dot(row, point)
+
+    def apply(self, ev: ExponentVector) -> list[Scalar]:
+        """The lex value C·(gamma, u)."""
+        return list(self._values(ev))
 
     def sign_lex(self, ev: ExponentVector) -> int:
-        """Sign of the first nonzero entry of C·(gamma, u); 0 if all vanish."""
-        for value in self.apply(ev):
+        """Sign of the first nonzero entry of C·(gamma, u); 0 if all vanish.
+
+        Rows below the first nonzero entry are not evaluated.
+        """
+        for value in self._values(ev):
             s = value.sign()
             if s:
                 return s
@@ -227,47 +237,42 @@ def row_op_normal_form(
 # -- the Phi map and comparisons -------------------------------------------
 
 
+def _top_term(P: Prime, f: TropPolynomial) -> Optional[ExponentVector]:
+    """A term of f with the lex-largest value, the first in sorted order
+    among ties; None for the zero polynomial."""
+    if P.n != f.n:
+        raise DimensionError(f"polynomial in {f.n} variables, prime has {P.n}")
+    best = None
+    for ev in f.exponents():
+        if best is None or P.matrix.sign_lex(ev.sub(best)) > 0:
+            best = ev
+    return best
+
+
 def phi(P: Prime, f: TropPolynomial):
     """Lex value of a polynomial: max over terms of C·(gamma, u).
 
     Returns a list of scalars (compared lexicographically) or NEG_INF for
     the zero polynomial.
     """
-    if P.n != f.n:
-        raise DimensionError(f"polynomial in {f.n} variables, prime has {P.n}")
-    if f.is_zero():
-        return NEG_INF
-    best = None
-    for ev in f.exponents():
-        value = P.matrix.apply(ev)
-        if best is None or _lex_cmp(value, best) > 0:
-            best = value
-    return best
-
-
-def _lex_cmp(a: list[Scalar], b: list[Scalar]) -> int:
-    for x, y in zip(a, b):
-        s = (x - y).sign()
-        if s:
-            return s
-    return 0
+    top = _top_term(P, f)
+    return NEG_INF if top is None else P.matrix.apply(top)
 
 
 def compare(P: Prime, f: TropPolynomial, g: TropPolynomial) -> str:
     """Total preorder on polynomials: lex comparison of phi values."""
-    pf, pg = phi(P, f), phi(P, g)
-    if pf is NEG_INF and pg is NEG_INF:
-        return EQUAL
-    if pf is NEG_INF:
-        return LESS
-    if pg is NEG_INF:
+    top_f, top_g = _top_term(P, f), _top_term(P, g)
+    if top_f is None:
+        return EQUAL if top_g is None else LESS
+    if top_g is None:
         return GREATER
-    s = _lex_cmp(pf, pg)
-    return LESS if s < 0 else GREATER if s > 0 else EQUAL
+    return compare_terms(P, top_f, top_g)
 
 
 def compare_terms(P: Prime, a: ExponentVector, b: ExponentVector) -> str:
-    return compare(P, TropPolynomial.from_exponent(a), TropPolynomial.from_exponent(b))
+    """Term comparison: the lex sign of C·(a − b), since C is linear."""
+    s = P.matrix.sign_lex(a.sub(b))
+    return LESS if s < 0 else GREATER if s > 0 else EQUAL
 
 
 # -- kernel subgroups --------------------------------------------------------
@@ -345,23 +350,30 @@ class KernelSubgroup:
 def _effective_row(row: Sequence[Scalar], H: KernelSubgroup):
     """Restrict a matrix row to H.
 
-    Returns None when the row vanishes identically on H; otherwise
-    ("prod", c, values) in product kind (c the coefficient entry, values
-    the pairing with each lattice basis vector) or ("vec", values) in
-    graph kind (values absorb c·ell).
+    Returns None when the row vanishes identically on H, otherwise
+    (c, values): c is the coefficient entry and values pairs the rest of
+    the row with each lattice basis vector.  In graph kind c is 0, so the
+    pairing needs no c·ell term: a canonical matrix has one nonzero
+    coefficient entry, and H turns graph only when that row is consumed.
     """
     c, xi = row[0], row[1:]
-    if H.kind == "product":
-        values = [dot(xi, b) for b in H.lattice]
-        if not c and not any(values):
-            return None
-        return ("prod", c, values)
-    values = [
-        c._scale(e) + dot(xi, b) for e, b in zip(H.ell, H.lattice)
-    ]
-    if not any(values):
+    values = [dot(xi, b) for b in H.lattice]
+    if not c and not any(values):
         return None
-    return ("vec", values)
+    return c, values
+
+
+def _next_effective(
+    rows: Sequence[Sequence[Scalar]], i: int, H: KernelSubgroup
+):
+    """(i', restriction) for the first row i' >= i that does not vanish on
+    H, or (len(rows), None) when every remaining row does."""
+    while i < len(rows):
+        eff = _effective_row(rows[i], H)
+        if eff is not None:
+            return i, eff
+        i += 1
+    return i, None
 
 
 def _lattice_restrict(
@@ -386,24 +398,21 @@ def _lattice_restrict(
     return tuple(tuple(r) for r in basis), old_coeffs
 
 
-def _restrict_product_positive(
+def _restrict(
     H: KernelSubgroup, c: Scalar, values: list[Scalar]
 ) -> KernelSubgroup:
-    """Intersect product-kind H with the vanishing of (c, values), c > 0."""
-    ratio = [x / c for x in values]
-    coeff_rows = rational_part_basis(ratio)
-    basis, old_coeffs = _lattice_restrict(H, coeff_rows)
-    ell = []
-    for coeffs in old_coeffs:
-        value = dot(ratio, coeffs)
-        ell.append(-value.as_rational())
-    return KernelSubgroup("graph", H.n, basis, tuple(ell))
+    """Intersect H with the vanishing of an effective row (c, values).
 
-
-def _restrict_covector(
-    H: KernelSubgroup, values: list[Scalar]
-) -> KernelSubgroup:
-    """Intersect H with the vanishing of a covector given on the basis."""
+    A canonical matrix has c >= 0.  With c > 0, in product kind, the row
+    fixes gamma = -values·m / c, and H becomes the graph of that functional
+    on the lattice where it is rational; otherwise the covector values must
+    vanish on the lattice.
+    """
+    if c:
+        ratio = [x / c for x in values]
+        basis, old_coeffs = _lattice_restrict(H, rational_part_basis(ratio))
+        ell = tuple(-dot(ratio, m).as_rational() for m in old_coeffs)
+        return KernelSubgroup("graph", H.n, basis, ell)
     coeff_rows = [[x.rational_part() for x in values]]
     coeff_rows.extend(rational_part_basis(values))
     basis, old_coeffs = _lattice_restrict(H, coeff_rows)
@@ -416,15 +425,6 @@ def _restrict_covector(
     return KernelSubgroup("graph", H.n, basis, ell)
 
 
-def _restrict(H: KernelSubgroup, eff) -> KernelSubgroup:
-    if eff[0] == "prod":
-        _, c, values = eff
-        if c.sign() > 0:
-            return _restrict_product_positive(H, c, values)
-        return _restrict_covector(H, values)
-    return _restrict_covector(H, eff[1])
-
-
 def final_kernel(P: Prime) -> KernelSubgroup:
     """The subgroup {w in ℚ x Z^n : C·w = 0}: run the row recursion of a
     single matrix to exhaustion."""
@@ -432,7 +432,7 @@ def final_kernel(P: Prime) -> KernelSubgroup:
     for row in P.matrix.rows:
         eff = _effective_row(row, H)
         if eff is not None:
-            H = _restrict(H, eff)
+            H = _restrict(H, *eff)
     return H
 
 
@@ -466,19 +466,20 @@ def _distinguished(A: Prime, B: Prime, w: ExponentVector) -> EqualityVerdict:
     return EqualityVerdict("Distinguished", w)
 
 
-def _one_sided_witness(H: KernelSubgroup, eff) -> ExponentVector:
+def _unit(H: KernelSubgroup, d: int, sign: int) -> list[int]:
+    """Basis coefficients of ±(basis vector d) of H's lattice."""
+    return [sign if i == d else 0 for i in range(H.lattice_rank)]
+
+
+def _one_sided_witness(
+    H: KernelSubgroup, values: list[Scalar]
+) -> ExponentVector:
     """A member of H on which the remaining effective row is nonzero."""
-    if eff[0] == "prod":
-        _, c, values = eff
-        for d, v in enumerate(values):
-            if v:
-                return H.member([1 if i == d else 0 for i in range(H.lattice_rank)])
+    d = next((d for d, v in enumerate(values) if v), None)
+    if d is None:
+        # only the coefficient entry is nonzero, so H is of product kind
         return ExponentVector(Fraction(1), (0,) * H.n)
-    values = eff[1]
-    for d, v in enumerate(values):
-        if v:
-            return H.member([1 if i == d else 0 for i in range(H.lattice_rank)])
-    raise AssertionError("effective row vanished on every basis vector")
+    return H.member(_unit(H, d, 1))
 
 
 def _mixed_case_witness(
@@ -495,12 +496,10 @@ def _mixed_case_witness(
     """
     d = next(i for i, v in enumerate(vals_zero) if v)
     flip = vals_zero[d].sign() > 0
-    coeffs = [0] * H.lattice_rank
-    coeffs[d] = -1 if flip else 1
     value_pos = -vals_pos[d] if flip else vals_pos[d]
     threshold = -(value_pos / c_pos)
     gamma = Fraction(threshold.floor() + 1)
-    return H.member(coeffs, gamma)
+    return H.member(_unit(H, d, -1 if flip else 1), gamma)
 
 
 def _cone_point(a: list[Scalar], b: list[Scalar]) -> list[int]:
@@ -551,10 +550,9 @@ def _covector_disagreement_witness(
     cone {a·m > 0 > b·m} separates: every earlier row vanishes on H, so the
     opposite stage signs are the full lex signs.
     """
-    rank = H.lattice_rank
-    for d in range(rank):
-        for unit in (1, -1):
-            w = H.member([unit if i == d else 0 for i in range(rank)])
+    for d in range(H.lattice_rank):
+        for sign in (1, -1):
+            w = H.member(_unit(H, d, sign))
             if A.matrix.sign_lex(w) != B.matrix.sign_lex(w):
                 return w
     return H.member(_cone_point(a, b))
@@ -591,62 +589,38 @@ def decide_equal(A: Prime, B: Prime) -> EqualityVerdict:
     i = j = 0
     rows_a, rows_b = A.matrix.rows, B.matrix.rows
     while True:
-        eff_a = None
-        while i < len(rows_a):
-            eff_a = _effective_row(rows_a[i], H)
-            if eff_a is not None:
-                break
-            i += 1
-        eff_b = None
-        while j < len(rows_b):
-            eff_b = _effective_row(rows_b[j], H)
-            if eff_b is not None:
-                break
-            j += 1
+        i, eff_a = _next_effective(rows_a, i, H)
+        j, eff_b = _next_effective(rows_b, j, H)
         if eff_a is None and eff_b is None:
             return EqualityVerdict("Equal")
         if eff_a is None or eff_b is None:
-            eff = eff_b if eff_a is None else eff_a
-            return _distinguished(A, B, _one_sided_witness(H, eff))
-        if H.kind == "product":
-            _, ca, ga = eff_a
-            _, cb, gb = eff_b
-            pa, pb = ca.sign() > 0, cb.sign() > 0
-            if pa != pb:
-                if pa:
-                    w = _mixed_case_witness(H, ca, ga, gb)
-                else:
-                    w = _mixed_case_witness(H, cb, gb, ga)
-                return _distinguished(A, B, w)
-            if pa and pb:
-                ra = [x / ca for x in ga]
-                rb = [x / cb for x in gb]
-                split = next(
-                    (d for d in range(len(ra)) if ra[d] != rb[d]), None
-                )
-                if split is None:
-                    H = _restrict_product_positive(H, ca, ga)
-                    i += 1
-                    j += 1
-                    continue
+            _, values = eff_a or eff_b
+            return _distinguished(A, B, _one_sided_witness(H, values))
+        (ca, ga), (cb, gb) = eff_a, eff_b
+        # coefficient entries are >= 0, and nonzero only in product kind
+        pa, pb = bool(ca), bool(cb)
+        if pa != pb:
+            if pa:
+                w = _mixed_case_witness(H, ca, ga, gb)
+            else:
+                w = _mixed_case_witness(H, cb, gb, ga)
+            return _distinguished(A, B, w)
+        if pa:
+            ra = [x / ca for x in ga]
+            rb = [x / cb for x in gb]
+            split = next((d for d in range(len(ra)) if ra[d] != rb[d]), None)
+            if split is not None:
                 ta, tb = -ra[split], -rb[split]
                 lo, hi = (ta, tb) if ta < tb else (tb, ta)
                 gamma = simplest_between(lo, hi)
-                coeffs = [
-                    1 if d == split else 0 for d in range(H.lattice_rank)
-                ]
-                return _distinguished(A, B, H.member(coeffs, gamma))
-            # both coefficient entries vanish: fall through to covectors
-            values_a, values_b = ga, gb
-        else:
-            values_a, values_b = eff_a[1], eff_b[1]
-        if _positively_proportional(values_a, values_b):
-            H = _restrict_covector(H, values_a)
-            i += 1
-            j += 1
-            continue
-        w = _covector_disagreement_witness(A, B, H, values_a, values_b)
-        return _distinguished(A, B, w)
+                w = H.member(_unit(H, split, 1), gamma)
+                return _distinguished(A, B, w)
+        elif not _positively_proportional(ga, gb):
+            w = _covector_disagreement_witness(A, B, H, ga, gb)
+            return _distinguished(A, B, w)
+        H = _restrict(H, ca, ga)
+        i += 1
+        j += 1
 
 
 # -- classification -----------------------------------------------------------

@@ -98,11 +98,17 @@ class Scalar:
         """Build from a map radicand -> coefficient.
 
         Radicands need not be squarefree; they are reduced
-        (8 -> 2*sqrt(2)).  Zero coefficients are dropped.
+        (8 -> 2*sqrt(2)).  Zero coefficients are dropped.  A radicand must
+        be an int (not a bool) and a coefficient must not be a float, so
+        that every scalar is the exact value that was written.
         """
         reduced: dict[int, Fraction] = {}
         if terms:
             for n, q in terms.items():
+                if not isinstance(n, int) or isinstance(n, bool):
+                    raise TypeError(f"radicand {n!r} is not an integer")
+                if isinstance(q, float):
+                    raise TypeError(f"coefficient {q!r} is a float")
                 q = Fraction(q)
                 if not q:
                     continue

@@ -22,6 +22,24 @@ from .scalars import RationalLike, Scalar, dot
 NEG_INF = float("-inf")
 
 
+def _exponent_tuple(u: Iterable[int]) -> tuple[int, ...]:
+    """u as a tuple of ints; a bool or any other non-int exponent is
+    rejected instead of truncated."""
+    u = tuple(u)
+    if all(type(e) is int for e in u):
+        return u
+    if any(isinstance(e, bool) or not isinstance(e, int) for e in u):
+        raise DomainError(f"exponents must be integers, got {u!r}")
+    return tuple(int(e) for e in u)
+
+
+def _coefficient(gamma: RationalLike) -> Fraction:
+    """gamma as a Fraction; a float is rejected, not read as its binary value."""
+    if isinstance(gamma, float):
+        raise DomainError(f"coefficient exponent {gamma!r} is a float")
+    return Fraction(gamma)
+
+
 @dataclass(frozen=True)
 class ExponentVector:
     """(gamma, u): the coefficient exponent and the monomial exponents of a
@@ -31,8 +49,8 @@ class ExponentVector:
     u: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", Fraction(self.gamma))
-        object.__setattr__(self, "u", tuple(int(e) for e in self.u))
+        object.__setattr__(self, "gamma", _coefficient(self.gamma))
+        object.__setattr__(self, "u", _exponent_tuple(self.u))
 
     @property
     def n(self) -> int:
@@ -72,12 +90,12 @@ class TropPolynomial:
         clean: dict[tuple[int, ...], Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for u, gamma in items:
-            u = tuple(int(e) for e in u)
+            u = _exponent_tuple(u)
             if len(u) != self.n:
                 raise DimensionError(
                     f"exponent {u} has length {len(u)}, expected {self.n}"
                 )
-            gamma = Fraction(gamma)
+            gamma = _coefficient(gamma)
             prev = clean.get(u)
             if prev is None or gamma > prev:
                 clean[u] = gamma

@@ -16,6 +16,11 @@ one common denominator.
 The equality-witness oracle searches integer boxes for a separating term,
 where ``decide_equal`` constructs one from the stage covectors.
 
+The lex oracle evaluates every term of a polynomial in full with plain
+Scalar products and compares the value lists entry by entry, where the
+library compares two terms by the sign of C·(a − b) and stops at the first
+nonzero row.
+
 The Fourier-Motzkin oracle eliminates with duplicate removal only, where
 the library also drops rows by Chernikov's rule, and its dimension test
 makes one row strict at a time, where ``GammaPolyhedron.dim`` reads the
@@ -30,11 +35,17 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from valflag import (
+    EQUAL,
+    GREATER,
+    LESS,
+    NEG_INF,
     DefiningMatrix,
+    DimensionError,
     ExponentVector,
     GammaPolyhedron,
     Prime,
     Scalar,
+    TropPolynomial,
     canonicalize,
 )
 from valflag.linalg import field_rank
@@ -327,6 +338,54 @@ def ref_covector_witness(
         if A.matrix.sign_lex(w) != B.matrix.sign_lex(w):
             return w
     return None
+
+
+# -- lex values of whole polynomials ------------------------------------------
+
+
+def _ref_value(P: Prime, ev: ExponentVector) -> list[Scalar]:
+    """C·(gamma, u), each row summed from plain Scalar products."""
+    point = [Scalar.rational(ev.gamma)] + [Scalar.rational(e) for e in ev.u]
+    return [
+        sum((x * y for x, y in zip(row, point)), ZERO)
+        for row in P.matrix.rows
+    ]
+
+
+def _ref_lex_cmp(a: list[Scalar], b: list[Scalar]) -> int:
+    for x, y in zip(a, b):
+        s = (x - y).sign()
+        if s:
+            return s
+    return 0
+
+
+def ref_phi(P: Prime, f: TropPolynomial):
+    """The lex maximum of C·(gamma, u) over the terms of f, every term
+    evaluated in full; NEG_INF for the zero polynomial."""
+    if P.n != f.n:
+        raise DimensionError(f"polynomial in {f.n} variables, prime has {P.n}")
+    if f.is_zero():
+        return NEG_INF
+    best = None
+    for ev in f.exponents():
+        value = _ref_value(P, ev)
+        if best is None or _ref_lex_cmp(value, best) > 0:
+            best = value
+    return best
+
+
+def ref_compare(P: Prime, f: TropPolynomial, g: TropPolynomial) -> str:
+    """Lex comparison of the two ref_phi values."""
+    pf, pg = ref_phi(P, f), ref_phi(P, g)
+    if pf is NEG_INF and pg is NEG_INF:
+        return EQUAL
+    if pf is NEG_INF:
+        return LESS
+    if pg is NEG_INF:
+        return GREATER
+    s = _ref_lex_cmp(pf, pg)
+    return LESS if s < 0 else GREATER if s > 0 else EQUAL
 
 
 # -- random generators --------------------------------------------------------

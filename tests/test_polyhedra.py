@@ -173,6 +173,8 @@ def test_polyhedron_validation():
         GammaPolyhedron(1, [((Fraction(1, 2),), Fraction(0))])
     with pytest.raises(DomainError):
         GammaPolyhedron(2, [((True, 0), 1)])
+    with pytest.raises(DomainError):
+        GammaPolyhedron(1, [((1,), 0.1)])
     with pytest.raises(DimensionError):
         GammaPolyhedron(2, [((1,), Fraction(0))])
     with pytest.raises(DimensionError):

@@ -26,6 +26,7 @@ from valflag import (
     compare_terms,
     decide_equal,
     final_kernel,
+    halfspace_member,
     height,
     is_order,
     min_filter_dim,
@@ -39,7 +40,9 @@ from _oracles import (
     random_prime,
     random_scalar,
     random_term,
+    ref_compare,
     ref_covector_witness,
+    ref_phi,
     transform_rows,
 )
 
@@ -197,6 +200,78 @@ def test_phi_is_multiplicative_on_polys():
                                 Fraction(rng.randint(-3, 3))) for _ in range(rng.randint(1, 3))])
         pf, pg, pfg = phi(pr, f), phi(pr, g), phi(pr, f * g)
         assert pfg == [a + b for a, b in zip(pf, pg)]
+
+
+def _prime_of_class(rng, n, k, cls):
+    """A random prime of class cls from k + 1 rows; the coefficient entry
+    sits in row 0 (cont), in a lower row (non-continuous) or nowhere."""
+    c_row = None
+    if cls == CONT:
+        c_row = 0
+    elif cls == NON_CONTINUOUS:
+        c_row = rng.randint(1, k)
+    rows = [
+        [Scalar.rational(rng.randint(1, 3) if i == c_row else 0)]
+        + [random_scalar(rng) for _ in range(n)]
+        for i in range(k + 1)
+    ]
+    pr = canonicalize(DefiningMatrix(rows, n=n))
+    return pr if classify(pr) == cls else _prime_of_class(rng, n, k, cls)
+
+
+def test_lex_comparisons_agree_with_phi_oracle():
+    """phi, compare, compare_terms and halfspace_member against whole-term
+    evaluation, with top terms tied through the final kernel."""
+    rng = random.Random(1019)
+    unit = TropPolynomial.unit
+    term = TropPolynomial.from_exponent
+    for n in (1, 2, 3):
+        for k in range(n + 1):
+            classes = [CONT, COEFFICIENT_BLIND] + ([NON_CONTINUOUS] if k else [])
+            for cls in classes:
+                pr = _prime_of_class(rng, n, k, cls)
+                K = final_kernel(pr)
+                for _ in range(4):
+                    terms = [random_term(rng, n) for _ in range(3)]
+                    top = terms[0]
+                    for t in terms[1:]:
+                        if ref_compare(pr, term(t), term(top)) == GREATER:
+                            top = t
+                    # top + w ties with top, since C·w = 0
+                    w = K.member(
+                        [rng.randint(-2, 2) for _ in range(K.lattice_rank)],
+                        Fraction(rng.randint(-2, 2)),
+                    )
+                    tied = terms + [top.add(w)]
+                    assert compare_terms(pr, top, tied[-1]) == EQUAL
+                    f = TropPolynomial(n, {t.u: t.gamma for t in tied})
+                    g = TropPolynomial(n, {t.u: t.gamma for t in terms[1:]})
+                    shifted = f * term(w)
+                    zero = TropPolynomial.zero(n)
+                    for h in (f, g, shifted, zero):
+                        assert phi(pr, h) == ref_phi(pr, h)
+                    for h1, h2 in [(f, g), (g, f), (f, shifted), (f, zero),
+                                   (zero, g), (zero, zero), (f, unit(n))]:
+                        assert compare(pr, h1, h2) == ref_compare(pr, h1, h2)
+                    for a in tied:
+                        ta = term(a)
+                        want = ref_compare(pr, ta, unit(n)) != GREATER
+                        assert halfspace_member(pr, a) == want
+                        for b in tied:
+                            tb = term(b)
+                            assert compare_terms(pr, a, b) == ref_compare(pr, ta, tb)
+                wide = random_term(rng, n + 1)
+                wide_poly = term(wide)
+                for call in (
+                    lambda: phi(pr, wide_poly),
+                    lambda: compare(pr, wide_poly, wide_poly),
+                    lambda: compare(pr, unit(n), wide_poly),
+                    lambda: compare_terms(pr, wide, wide),
+                    lambda: compare_terms(pr, random_term(rng, n), wide),
+                    lambda: halfspace_member(pr, wide),
+                ):
+                    with pytest.raises(DimensionError):
+                        call()
 
 
 # -- decide_equal -------------------------------------------------------------

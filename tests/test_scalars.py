@@ -232,6 +232,15 @@ def test_arithmetic_agrees_with_reducing_oracle():
             assert got == want and hash(got) == hash(want)
 
 
+def test_inexact_scalar_input_is_rejected():
+    for terms in [{2.5: 1}, {True: 1}, {"2": 1}, {1: 0.1}, {2: 0.5}]:
+        with pytest.raises(TypeError):
+            Scalar(terms)
+    with pytest.raises(TypeError):
+        Scalar.coerce(0.1)
+    assert Scalar({8: Fraction(1, 2), 1: 3}) == Scalar.sqrt(2) + 3
+
+
 def test_as_rational():
     assert Scalar.rational(Fraction(3, 4)).as_rational() == Fraction(3, 4)
     with pytest.raises(ValueError):

@@ -161,6 +161,21 @@ def test_exponent_vector_ops():
         a.add(ExponentVector(0, (1,)))
 
 
+def test_inexact_exponents_are_rejected_not_truncated():
+    for u in [(1.5, 0), (0, True), (Fraction(1), 0), ("1", 0)]:
+        with pytest.raises(DomainError):
+            ExponentVector(0, u)
+        with pytest.raises(DomainError):
+            TropPolynomial(2, {u: 1})
+    with pytest.raises(DomainError):
+        ExponentVector(0.5, (1, 0))
+    with pytest.raises(DomainError):
+        TropPolynomial(2, {(1, 0): 0.1})
+    # exact input is kept as given
+    assert ExponentVector(Fraction(1, 3), (2, -1)).u == (2, -1)
+    assert str(TropPolynomial(2, {(1, 0): Fraction(1, 2)})) == "t^1/2*x"
+
+
 def test_dimension_checks():
     with pytest.raises(DimensionError):
         TropPolynomial(2, [((1,), Fraction(0))])
