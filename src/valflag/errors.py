@@ -39,4 +39,5 @@ class DomainError(ValflagError):
 
 
 class CapacityError(ValflagError):
-    """A configured resource bound was exceeded (the radical cap)."""
+    """A configured resource bound was exceeded: the radical cap, which
+    bounds the distinct primes under the square roots of one scalar."""

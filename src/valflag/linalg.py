@@ -1,16 +1,17 @@
-"""Small exact linear algebra: integer kernels, Hermite form, elimination.
+"""Small exact linear algebra: integer kernels, Hermite form, echelon bases.
 
 The integer routines use gcd-based unimodular operations (no floating
-point, no modular tricks); the field routines are generic Gaussian
-elimination and work for any exact field element supporting +, -, *, /
-and truthiness (Fraction and Scalar both qualify).
+point, no modular tricks).  The field routines reduce each row against
+the rows kept before it, one inverse per kept row, and work for any exact
+field element supporting +, -, *, /, < 0 and truthiness (Fraction and
+Scalar both qualify).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -139,46 +140,37 @@ def in_lattice(basis_hnf: Sequence[Sequence[int]], v: Sequence[int]):
     return coeffs
 
 
-def field_rref(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form over an exact field; (rows, pivot columns).
+def independent_rows(rows: Iterable[Sequence]) -> list[list]:
+    """A basis of the row span in echelon form, built in insertion order.
 
-    Generic: entries need +, -, *, / and truthiness.  Zero rows are
-    dropped.
+    Each row is reduced against the rows kept so far: the entry at a kept
+    row's lead column is cleared by subtracting that row, and since a kept
+    lead is ±1 the factor is the entry signed by the lead.  A row that
+    reduces to zero is dropped; a survivor is scaled by one inverse of the
+    absolute value of its lead, so its lead becomes ±1.  Every kept row is
+    zero at the lead columns of the rows kept before it, so the reduction
+    leaves the one element of row + span(kept) that is zero at all of them,
+    the same vector that reducing against a full RREF gives.
     """
-    mat = [list(r) for r in rows]
-    pivots: list[int] = []
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        piv = None
-        for r in range(rank, len(mat)):
-            if mat[r][c]:
-                piv = r
-                break
-        if piv is None:
+    kept: list[list] = []
+    leads: list[tuple[int, bool]] = []  # (column, lead is -1)
+    for row in rows:
+        out = list(row)
+        for base, (c, negative) in zip(kept, leads):
+            factor = out[c]
+            if factor:
+                if negative:
+                    factor = -factor
+                out = [x - factor * y for x, y in zip(out, base)]
+        c = next((c for c, x in enumerate(out) if x), None)
+        if c is None:
             continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = mat[rank][c]
-        mat[rank] = [x / inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][c]:
-                factor = mat[r][c]
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
-        pivots.append(c)
-        rank += 1
-    return mat[:rank], pivots
+        negative = out[c] < 0
+        inv = 1 / (-out[c] if negative else out[c])
+        kept.append([x * inv for x in out])
+        leads.append((c, negative))
+    return kept
 
 
-def field_rank(rows: Sequence[Sequence]) -> int:
-    return len(field_rref(rows)[0])
-
-
-def reduce_against(row: Sequence, rref_rows: Sequence[Sequence], pivots: Sequence[int]):
-    """Subtract the unique combination of rref_rows matching row on the
-    pivot columns; the result has zeros there."""
-    out = list(row)
-    for base, c in zip(rref_rows, pivots):
-        factor = out[c]
-        if factor:
-            out = [x - factor * y for x, y in zip(out, base)]
-    return out
+def field_rank(rows: Iterable[Sequence]) -> int:
+    return len(independent_rows(rows))

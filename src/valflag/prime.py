@@ -28,11 +28,10 @@ from typing import Optional, Sequence
 from .errors import DimensionError, DomainError
 from .linalg import (
     field_rank,
-    field_rref,
     hermite_form,
     in_lattice,
+    independent_rows,
     integer_kernel,
-    reduce_against,
 )
 from .scalars import Scalar, ScalarLike, dot, rational_part_basis, simplest_between
 from .tropical import NEG_INF, ExponentVector, TropPolynomial
@@ -144,10 +143,6 @@ class Prime:
     def n(self) -> int:
         return self.matrix.n
 
-    @property
-    def k_plus_1(self) -> int:
-        return len(self.matrix.rows)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Prime):
             return NotImplemented
@@ -174,9 +169,7 @@ def _check_canonical(matrix: DefiningMatrix) -> None:
         raise DomainError(
             "matrix not canonical: several nonzero coefficient entries"
         )
-    if matrix.rows and field_rank([list(r) for r in matrix.rows]) != len(
-        matrix.rows
-    ):
+    if field_rank(matrix.rows) != len(matrix.rows):
         raise DomainError("matrix not canonical: dependent rows")
 
 
@@ -185,9 +178,9 @@ def canonicalize(matrix: DefiningMatrix | Sequence[Sequence[ScalarLike]]) -> Pri
 
     Steps, all order-preserving: scale the first row with a nonzero
     coefficient entry so that entry is 1 and clear the coefficient column
-    below it; then reduce every row against the span of the kept rows
-    above it, dropping rows that reduce to zero and scaling survivors so
-    the leading entry has absolute value 1.
+    below it; then reduce every row against the kept rows above it,
+    dropping rows that reduce to zero and scaling survivors so the leading
+    entry has absolute value 1 (independent_rows).
     """
     if not isinstance(matrix, DefiningMatrix):
         matrix = DefiningMatrix(matrix)
@@ -196,26 +189,20 @@ def canonicalize(matrix: DefiningMatrix | Sequence[Sequence[ScalarLike]]) -> Pri
     rows = [list(r) for r in matrix.rows]
     pivot_i = next((i for i, r in enumerate(rows) if r[0].sign()), None)
     if pivot_i is not None:
-        c0 = rows[pivot_i][0]
-        rows[pivot_i] = [x / c0 for x in rows[pivot_i]]
+        rows[pivot_i] = _divided(rows[pivot_i], rows[pivot_i][0])
         for i in range(pivot_i + 1, len(rows)):
             ci = rows[i][0]
             if ci:
                 rows[i] = [
                     x - ci * y for x, y in zip(rows[i], rows[pivot_i])
                 ]
-    kept: list[list[Scalar]] = []
-    rref: list[list[Scalar]] = []
-    pivots: list[int] = []
-    for row in rows:
-        red = reduce_against(row, rref, pivots)
-        lead = next((x for x in red if x), None)
-        if lead is None:
-            continue
-        scale = lead if lead.sign() > 0 else -lead
-        kept.append([x / scale for x in red])
-        rref, pivots = field_rref(kept)
-    return Prime(DefiningMatrix(kept, n=matrix.n))
+    return Prime(DefiningMatrix(independent_rows(rows), n=matrix.n))
+
+
+def _divided(values: Sequence[Scalar], c: Scalar) -> list[Scalar]:
+    """values / c, with one inverse of c for the whole row."""
+    inv = 1 / c
+    return [x * inv for x in values]
 
 
 def row_op_normal_form(
@@ -332,18 +319,23 @@ class KernelSubgroup:
         )
         return ev.gamma == want
 
-    def member(self, coeffs: Sequence[int], gamma: Fraction = Fraction(0)) -> ExponentVector:
+    def member(self, coeffs: Sequence[int], gamma: Optional[Fraction] = None) -> ExponentVector:
         """The member with the given basis coefficients; product kind takes
-        an explicit gamma, graph kind computes it."""
-        u = [0] * self.n
-        for a, row in zip(coeffs, self.lattice):
-            for j, x in enumerate(row):
-                u[j] += a * x
-        if self.kind == "graph":
+        an explicit gamma (default 0), graph kind computes it and refuses
+        one."""
+        if self.kind == "product":
+            gamma = Fraction(0) if gamma is None else gamma
+        elif gamma is not None:
+            raise ValueError("graph kind computes gamma; none may be passed")
+        else:
             gamma = sum(
                 (Fraction(a) * e for a, e in zip(coeffs, self.ell)),
                 Fraction(0),
             )
+        u = [0] * self.n
+        for a, row in zip(coeffs, self.lattice):
+            for j, x in enumerate(row):
+                u[j] += a * x
         return ExponentVector(gamma, tuple(u))
 
 
@@ -409,7 +401,7 @@ def _restrict(
     vanish on the lattice.
     """
     if c:
-        ratio = [x / c for x in values]
+        ratio = _divided(values, c)
         basis, old_coeffs = _lattice_restrict(H, rational_part_basis(ratio))
         ell = tuple(-dot(ratio, m).as_rational() for m in old_coeffs)
         return KernelSubgroup("graph", H.n, basis, ell)
@@ -606,8 +598,7 @@ def decide_equal(A: Prime, B: Prime) -> EqualityVerdict:
                 w = _mixed_case_witness(H, cb, gb, ga)
             return _distinguished(A, B, w)
         if pa:
-            ra = [x / ca for x in ga]
-            rb = [x / cb for x in gb]
+            ra, rb = _divided(ga, ca), _divided(gb, cb)
             split = next((d for d in range(len(ra)) if ra[d] != rb[d]), None)
             if split is not None:
                 ta, tb = -ra[split], -rb[split]

@@ -12,12 +12,15 @@ each radical) at doubling precision, which terminates for any nonzero
 value.
 
 Non-goals: general real algebraic numbers (cubic or higher radicals raise
-no claim here; the representable field is exactly ℚ(sqrt(d1), ..., sqrt(dr))
-with the number of distinct radicals capped, default 8, overridable through
-the VALFLAG_RADICAL_CAP environment variable).  The cap is read when
-``Scalar(terms)`` reduces a map, and by arithmetic only when a result carries
-more radicals than each of its operands; a sum, product or quotient that
-gains no radical never consults it.
+no claim here).  The representable field is ℚ(sqrt(p1), ..., sqrt(pk)) for
+primes p_i, with k capped: default 6, overridable through the
+VALFLAG_RADICAL_CAP environment variable.  That field is closed under the
+field operations and has a basis of the 2^k square roots of products of
+the p_i (Besicovitch 1940), so the cap bounds every value of a computation
+by 2^k terms, whatever the order of its operations.  Each scalar keeps a
+bitmask of its primes: ``Scalar(terms)`` computes it exactly, a sum,
+product or quotient takes the OR of its operands' masks, and the cap is
+read only when that OR holds a prime that each operand lacks.
 
 Arithmetic results are built already reduced (squarefree keys, nonzero
 ``Fraction`` coefficients) and skip the reduction that ``Scalar(terms)``
@@ -26,6 +29,7 @@ applies to arbitrary input.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from fractions import Fraction
@@ -36,33 +40,57 @@ from .errors import CapacityError, ParseError
 RationalLike = Union[int, Fraction]
 ScalarLike = Union["Scalar", int, Fraction, str]
 
-DEFAULT_RADICAL_CAP = 8
+DEFAULT_RADICAL_CAP = 6
 RADICAL_CAP_ENV = "VALFLAG_RADICAL_CAP"
 
 
-def radical_cap() -> int:
-    """Current bound on the number of distinct radicals in one scalar."""
+def _check_radical_cap(primes: int) -> None:
+    """Raise CapacityError when a prime mask holds more primes than the
+    current cap, VALFLAG_RADICAL_CAP or else DEFAULT_RADICAL_CAP."""
     raw = os.environ.get(RADICAL_CAP_ENV)
-    if raw is None:
-        return DEFAULT_RADICAL_CAP
     try:
-        cap = int(raw)
+        cap = DEFAULT_RADICAL_CAP if raw is None else int(raw)
     except ValueError as exc:
         raise CapacityError(
             f"{RADICAL_CAP_ENV} must be an integer, got {raw!r}"
         ) from exc
     if cap < 1:
         raise CapacityError(f"{RADICAL_CAP_ENV} must be positive, got {cap}")
-    return cap
-
-
-def _check_radical_cap(nrad: int) -> None:
-    cap = radical_cap()
-    if nrad > cap:
+    count = primes.bit_count()
+    if count > cap:
         raise CapacityError(
-            f"scalar would carry {nrad} distinct radicals, "
-            f"cap is {cap} (set {RADICAL_CAP_ENV} to raise it)"
+            f"scalar would carry {count} distinct primes under its square "
+            f"roots, cap is {cap} (set {RADICAL_CAP_ENV} to raise it)"
         )
+
+
+# The bit of each prime in a scalar's _primes mask, assigned when the prime
+# is first seen and fixed for the life of the process.  The counter hands out
+# each bit once, also to threads that meet new primes at the same time.
+_PRIME_BITS: dict[int, int] = {}
+_NEXT_BIT = itertools.count()
+
+
+def _prime_mask(n: int) -> int:
+    """Mask of the primes dividing n (squarefree)."""
+    mask = 0
+    while n > 1:
+        p = _smallest_prime_factor(n)
+        bit = _PRIME_BITS.get(p)
+        if bit is None:
+            bit = _PRIME_BITS.setdefault(p, next(_NEXT_BIT))
+        mask |= 1 << bit
+        n //= p
+    return mask
+
+
+def _union(a: "Scalar", b: "Scalar") -> int:
+    """The OR of two prime masks; the cap is read only when it holds a
+    prime that each of them lacks."""
+    primes = a._primes | b._primes
+    if primes != a._primes and primes != b._primes:
+        _check_radical_cap(primes)
+    return primes
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
@@ -92,7 +120,7 @@ def squarefree_split(n: int) -> tuple[int, int]:
 class Scalar:
     """An element of a real multi-quadratic field, exact and immutable."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_primes", "_hash")
 
     def __init__(self, terms: Mapping[int, RationalLike] | None = None):
         """Build from a map radicand -> coefficient.
@@ -121,32 +149,25 @@ class Scalar:
                     reduced[inner] = acc
                 elif inner in reduced:
                     del reduced[inner]
-        _check_radical_cap(len(reduced) - (1 in reduced))
+        primes = 0
+        for n in reduced:
+            primes |= _prime_mask(n)
+        _check_radical_cap(primes)
         self._terms = reduced
+        self._primes = primes
         self._hash = None
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _reduced(
-        cls, terms: dict[int, Fraction], *operands: "Scalar"
-    ) -> "Scalar":
+    def _reduced(cls, terms: dict[int, Fraction], primes: int) -> "Scalar":
         """Wrap a map that is already reduced: squarefree keys and nonzero
-        Fraction values.  The map is taken, not copied.
-
-        The radical cap is checked only when the map carries more radicals
-        than each of the operands it was computed from; a map that keeps the
-        keys of a single scalar is passed without operands.
+        Fraction values, with a prime mask covering its keys.  The map is
+        taken, not copied.
         """
-        if operands:
-            nrad = len(terms) - (1 in terms)
-            for o in operands:
-                if nrad <= len(o._terms) - (1 in o._terms):
-                    break
-            else:
-                _check_radical_cap(nrad)
         out = object.__new__(cls)
         out._terms = terms
+        out._primes = primes
         out._hash = None
         return out
 
@@ -154,7 +175,7 @@ class Scalar:
     def rational(cls, q: RationalLike) -> "Scalar":
         if not isinstance(q, Fraction):
             q = Fraction(q)
-        return cls._reduced({1: q} if q else {})
+        return cls._reduced({1: q} if q else {}, 0)
 
     @classmethod
     def sqrt(cls, n: int) -> "Scalar":
@@ -164,6 +185,8 @@ class Scalar:
     def coerce(value: ScalarLike) -> "Scalar":
         if isinstance(value, Scalar):
             return value
+        if isinstance(value, bool):
+            raise TypeError(f"cannot interpret the bool {value!r} as a scalar")
         if isinstance(value, (int, Fraction)):
             return Scalar.rational(value)
         if isinstance(value, str):
@@ -213,12 +236,14 @@ class Scalar:
                     del merged[n]
             else:
                 merged[n] = q
-        return Scalar._reduced(merged, self, other)
+        return Scalar._reduced(merged, _union(self, other))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar._reduced({n: -q for n, q in self._terms.items()})
+        return Scalar._reduced(
+            {n: -q for n, q in self._terms.items()}, self._primes
+        )
 
     def __sub__(self, other: ScalarLike) -> "Scalar":
         return self + (-Scalar.coerce(other))
@@ -249,7 +274,7 @@ class Scalar:
                         del prod[key]
                 else:
                     prod[key] = coeff
-        return Scalar._reduced(prod, self, other)
+        return Scalar._reduced(prod, _union(self, other))
 
     __rmul__ = __mul__
 
@@ -261,7 +286,8 @@ class Scalar:
         while not den.is_rational():
             p = _smallest_prime_factor(min(den.radicals()))
             conj = Scalar._reduced(
-                {n: (-q if n % p == 0 else q) for n, q in den._terms.items()}
+                {n: (-q if n % p == 0 else q) for n, q in den._terms.items()},
+                den._primes,
             )
             num = num * conj
             den = den * conj
@@ -275,15 +301,9 @@ class Scalar:
             return ZERO
         if not isinstance(q, Fraction):
             q = Fraction(q)
-        return Scalar._reduced({n: c * q for n, c in self._terms.items()})
-
-    def __pow__(self, k: int) -> "Scalar":
-        if k < 0:
-            return Scalar.rational(1) / self ** (-k)
-        out = Scalar.rational(1)
-        for _ in range(k):
-            out = out * self
-        return out
+        return Scalar._reduced(
+            {n: c * q for n, c in self._terms.items()}, self._primes
+        )
 
     # -- order ----------------------------------------------------------
 
@@ -397,10 +417,6 @@ def _smallest_prime_factor(n: int) -> int:
             return p
         p += 2
     return n
-
-
-def scalar_vector(values: Sequence[ScalarLike]) -> tuple[Scalar, ...]:
-    return tuple(Scalar.coerce(v) for v in values)
 
 
 def dot(xs: Sequence[Scalar], coeffs: Sequence[ScalarLike]) -> Scalar:

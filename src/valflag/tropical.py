@@ -183,14 +183,6 @@ class TropPolynomial:
                     out[w] = c
         return TropPolynomial(self.n, out)
 
-    def __pow__(self, k: int) -> "TropPolynomial":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        out = TropPolynomial.unit(self.n)
-        for _ in range(k):
-            out = out * self
-        return out
-
     # -- evaluation ---------------------------------------------------------
 
     def eval_at(self, x: Sequence[Scalar]):

@@ -25,6 +25,11 @@ The Fourier-Motzkin oracle eliminates with duplicate removal only, where
 the library also drops rows by Chernikov's rule, and its dimension test
 makes one row strict at a time, where ``GammaPolyhedron.dim`` reads the
 implicit equalities off one elimination.
+
+The echelon oracle rebuilds a full reduced row echelon form (RREF) after
+every kept row and reduces each new row against it, dividing entry by
+entry, where ``independent_rows`` reduces against the kept rows
+themselves with one inverse per row.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from valflag import (
     NEG_INF,
     DefiningMatrix,
     DimensionError,
+    DomainError,
     ExponentVector,
     GammaPolyhedron,
     Prime,
@@ -48,7 +54,6 @@ from valflag import (
     TropPolynomial,
     canonicalize,
 )
-from valflag.linalg import field_rank
 from valflag.scalars import ZERO, dot, simplest_between
 
 RatRow = tuple[list[Fraction], Fraction, bool]
@@ -223,7 +228,92 @@ def ref_dim(U: GammaPolyhedron) -> int:
         for i in range(len(U.rows))
         if not ref_fm_feasible(U.n, rows(i))[0]
     ]
-    return U.n - field_rank(eq_normals)
+    return U.n - ref_rank(eq_normals)
+
+
+# -- echelon forms by full RREF rebuilds ---------------------------------------
+
+
+def field_rref(rows) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form over an exact field; (rows, pivot columns).
+
+    Generic: entries need +, -, *, / and truthiness.  Zero rows are
+    dropped.
+    """
+    mat = [list(r) for r in rows]
+    pivots: list[int] = []
+    rank = 0
+    ncols = len(mat[0]) if mat else 0
+    for c in range(ncols):
+        piv = None
+        for r in range(rank, len(mat)):
+            if mat[r][c]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = mat[rank][c]
+        mat[rank] = [x / inv for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][c]:
+                factor = mat[r][c]
+                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
+        pivots.append(c)
+        rank += 1
+    return mat[:rank], pivots
+
+
+def ref_rank(rows) -> int:
+    return len(field_rref(rows)[0])
+
+
+def reduce_against(row, rref_rows, pivots):
+    """Subtract the unique combination of rref_rows matching row on the
+    pivot columns; the result has zeros there."""
+    out = list(row)
+    for base, c in zip(rref_rows, pivots):
+        factor = out[c]
+        if factor:
+            out = [x - factor * y for x, y in zip(out, base)]
+    return out
+
+
+def ref_independent_rows(rows) -> list[list]:
+    """Each row reduced against the RREF of the rows kept before it; zero
+    rows dropped, survivors divided by the absolute value of their lead."""
+    kept: list[list] = []
+    rref: list[list] = []
+    pivots: list[int] = []
+    for row in rows:
+        red = reduce_against(row, rref, pivots)
+        lead = next((x for x in red if x), None)
+        if lead is None:
+            continue
+        scale = -lead if lead < 0 else lead
+        kept.append([x / scale for x in red])
+        rref, pivots = field_rref(kept)
+    return kept
+
+
+def ref_canonicalize(matrix) -> DefiningMatrix:
+    """The canonical matrix of ``canonicalize``, by RREF rebuilds."""
+    if not isinstance(matrix, DefiningMatrix):
+        matrix = DefiningMatrix(matrix)
+    if not matrix.first_column_ok():
+        raise DomainError("invalid matrix: first column lexicographically < 0")
+    rows = [list(r) for r in matrix.rows]
+    pivot_i = next((i for i, r in enumerate(rows) if r[0].sign()), None)
+    if pivot_i is not None:
+        c0 = rows[pivot_i][0]
+        rows[pivot_i] = [x / c0 for x in rows[pivot_i]]
+        for i in range(pivot_i + 1, len(rows)):
+            ci = rows[i][0]
+            if ci:
+                rows[i] = [
+                    x - ci * y for x, y in zip(rows[i], rows[pivot_i])
+                ]
+    return DefiningMatrix(ref_independent_rows(rows), n=matrix.n)
 
 
 # -- scalar arithmetic through the reducing constructor -----------------------
@@ -424,6 +514,32 @@ def random_prime(
     if cont and (not P.matrix.rows or P.matrix.rows[0][0].sign() <= 0):
         return random_prime(rng, n, k, cont)
     return P
+
+
+def random_radical_matrix(rng: random.Random) -> DefiningMatrix:
+    """A defining matrix with n <= 4, at most 5 rows and entries a + b*sqrt(r)
+    for r in {2, 3, 5, 6, 7}, b drawn for half the entries and 0 for the
+    rest; some rows repeat an earlier one, and the first row with a nonzero
+    coefficient entry is made positive there."""
+    n = rng.randint(1, 4)
+    rows: list[list[Scalar]] = []
+    for _ in range(rng.randint(1, 5)):
+        if rows and rng.random() < 0.2:
+            rows.append(list(rng.choice(rows)))
+            continue
+        rows.append([
+            Scalar({
+                1: rng.randint(-3, 3),
+                rng.choice((2, 3, 5, 6, 7)): (
+                    rng.randint(-3, 3) if rng.random() < 0.5 else 0
+                ),
+            })
+            for _ in range(n + 1)
+        ])
+    first = next((r for r in rows if r[0]), None)
+    if first is not None and first[0].sign() < 0:
+        first[:] = [-x for x in first]
+    return DefiningMatrix(rows, n=n)
 
 
 def random_term(rng: random.Random, n: int, bound: int = 3) -> ExponentVector:

@@ -1,15 +1,23 @@
 import random
 from fractions import Fraction
 
-from valflag import Scalar
+from valflag import DefiningMatrix, Scalar, canonicalize
 from valflag.linalg import (
     field_rank,
-    field_rref,
     hermite_form,
     in_lattice,
+    independent_rows,
     integer_kernel,
-    reduce_against,
     xgcd,
+)
+
+from _oracles import (
+    field_rref,
+    random_rational,
+    reduce_against,
+    ref_canonicalize,
+    ref_independent_rows,
+    ref_rank,
 )
 
 
@@ -122,3 +130,57 @@ def test_reduce_against():
         probe = [Fraction(rng.randint(-5, 5)) for _ in range(4)]
         reduced = reduce_against(probe, mat, pivots)
         assert all(reduced[c] == 0 for c in pivots)
+
+
+def _echelon_cases(rng):
+    """Fraction and sqrt(2)/sqrt(3) matrices whose later rows repeat,
+    combine or negate earlier ones, so kept leads of -1 meet nonzero
+    entries below them."""
+    r2, r3 = Scalar.sqrt(2), Scalar.sqrt(3)
+
+    def entry(irrational):
+        q = random_rational(rng, bound=3, den=2)
+        if not irrational:
+            return q
+        return Scalar.rational(q) + r2._scale(random_rational(rng)) + r3._scale(
+            random_rational(rng, bound=2, den=1)
+        )
+
+    for case in range(200):
+        irrational = case % 2 == 1
+        width = rng.randint(1, 5)
+        rows = [
+            [entry(irrational) for _ in range(width)]
+            for _ in range(rng.randint(1, 4))
+        ]
+        for _ in range(rng.randint(0, 3)):
+            a, b = rng.choice(rows), rng.choice(rows)
+            f = random_rational(rng, bound=2, den=2)
+            pick = rng.randrange(3)
+            if pick == 0:
+                rows.append(list(a))
+            elif pick == 1:
+                rows.append([-x for x in a])
+            else:
+                rows.append([x + f * y for x, y in zip(a, b)])
+        rng.shuffle(rows)
+        yield rows
+
+
+def test_echelon_agrees_with_rref_oracle():
+    """independent_rows, field_rank and canonicalize against full RREF
+    rebuilds."""
+    rng = random.Random(13)
+    negative_leads = 0
+    for rows in _echelon_cases(rng):
+        kept = independent_rows(rows)
+        assert kept == ref_independent_rows(rows)
+        assert field_rank(rows) == len(kept) == ref_rank(rows)
+        negative_leads += any(next(x for x in r if x) < 0 for r in kept)
+        # make the coefficient column lexicographically nonnegative
+        i = next((i for i, r in enumerate(rows) if r[0]), None)
+        if i is not None and rows[i][0] < 0:
+            rows[i] = [-x for x in rows[i]]
+        M = DefiningMatrix(rows)
+        assert canonicalize(M).matrix == ref_canonicalize(M)
+    assert negative_leads > 50

@@ -38,8 +38,10 @@ from valflag import (
 from _oracles import (
     grid_exponents,
     random_prime,
+    random_radical_matrix,
     random_scalar,
     random_term,
+    ref_canonicalize,
     ref_compare,
     ref_covector_witness,
     ref_phi,
@@ -90,6 +92,21 @@ def test_canonicalize_preserves_lex_signs():
         for _ in range(100):
             w = random_term(rng, n)
             assert M.sign_lex(w) == C.matrix.sign_lex(w)
+
+
+def test_radical_matrices_all_canonicalize():
+    """Entries over sqrt(2), sqrt(3), sqrt(5), sqrt(6) and sqrt(7) carry four
+    primes, within the radical cap, so every matrix completes, although
+    canonical entries can carry up to 15 radicals."""
+    rng = random.Random(7)
+    wide = 0
+    for i in range(3000):
+        M = random_radical_matrix(rng)
+        C = canonicalize(M).matrix
+        wide += any(len(x.radicals()) > 8 for row in C.rows for x in row)
+        if i % 50 == 0:
+            assert C == ref_canonicalize(M)
+    assert wide >= 300
 
 
 def test_transform_rows_keeps_a_matrix_without_rows():
@@ -219,6 +236,11 @@ def _prime_of_class(rng, n, k, cls):
     return pr if classify(pr) == cls else _prime_of_class(rng, n, k, cls)
 
 
+def _kernel_member(K, coeffs, gamma):
+    """K.member, passing gamma only to the product kind, which takes one."""
+    return K.member(coeffs, gamma) if K.kind == "product" else K.member(coeffs)
+
+
 def test_lex_comparisons_agree_with_phi_oracle():
     """phi, compare, compare_terms and halfspace_member against whole-term
     evaluation, with top terms tied through the final kernel."""
@@ -238,7 +260,8 @@ def test_lex_comparisons_agree_with_phi_oracle():
                         if ref_compare(pr, term(t), term(top)) == GREATER:
                             top = t
                     # top + w ties with top, since C·w = 0
-                    w = K.member(
+                    w = _kernel_member(
+                        K,
                         [rng.randint(-2, 2) for _ in range(K.lattice_rank)],
                         Fraction(rng.randint(-2, 2)),
                     )
@@ -432,9 +455,12 @@ def test_witness_members_of_kernel_subgroup():
     assert H.contains(ExponentVector(Fraction(0), (3, -5)))
     assert not H.contains(ExponentVector(Fraction(1), (0, 0)))
     assert H.member([2, -1]) == ExponentVector(Fraction(0), (2, -1))
+    with pytest.raises(ValueError):
+        KernelSubgroup("graph", 1, ((1,),), (Fraction(0),)).member([1], Fraction(5))
     full = KernelSubgroup.full(2)
     assert full.rank == 3
     assert full.contains(ExponentVector(Fraction(7, 3), (1, 1)))
+    assert full.member([1, 0], Fraction(5)) == ExponentVector(Fraction(5), (1, 0))
 
 
 # -- final kernel and classification ------------------------------------------
@@ -464,10 +490,9 @@ def test_final_kernel_annihilates_matrix():
         K = final_kernel(pr)
         for _ in range(5):
             coeffs = [rng.randint(-3, 3) for _ in range(K.lattice_rank)]
-            gamma = Fraction(rng.randint(-3, 3))
-            w = K.member(coeffs, gamma)
-            if K.kind == "product" or K.contains(w):
-                assert pr.matrix.sign_lex(w) == 0
+            w = _kernel_member(K, coeffs, Fraction(rng.randint(-3, 3)))
+            assert K.contains(w)
+            assert pr.matrix.sign_lex(w) == 0
 
 
 def test_classify_examples():

@@ -1,10 +1,26 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from valflag import CapacityError, ParseError, Scalar, format_scalar, parse_scalar, simplest_between
-from valflag.scalars import ONE, ZERO, rational_part_basis, squarefree_split
+from valflag import (
+    CapacityError,
+    DefiningMatrix,
+    ParseError,
+    Scalar,
+    format_scalar,
+    parse_scalar,
+    simplest_between,
+)
+from valflag.scalars import (
+    DEFAULT_RADICAL_CAP,
+    ONE,
+    ZERO,
+    _prime_mask,
+    rational_part_basis,
+    squarefree_split,
+)
 
 from _oracles import (
     random_rational,
@@ -177,30 +193,41 @@ def test_simplest_between_is_minimal():
 
 
 def test_radical_cap(monkeypatch):
-    primes = [2, 3, 5, 7, 11, 13, 17, 19]
-    s = Scalar({p: Fraction(1) for p in primes + [1]})
-    assert len(s.radicals()) == 8
+    """The cap bounds the distinct primes under a scalar's square roots,
+    not its number of radicals."""
+    monkeypatch.delenv("VALFLAG_RADICAL_CAP", raising=False)
+    assert DEFAULT_RADICAL_CAP == 6
+    s = Scalar({p: Fraction(1) for p in [1, 2, 3, 5, 7, 11, 13]})
+    assert len(s.radicals()) == 6
+    # the square keeps the six primes: 21 radicals, the primes and their
+    # 15 pairwise products
+    assert len((s * s).radicals()) == 21
     with pytest.raises(CapacityError):
-        s + Scalar.sqrt(23)
-    monkeypatch.setenv("VALFLAG_RADICAL_CAP", "9")
-    assert len((s + Scalar.sqrt(23)).radicals()) == 9
+        s + Scalar.sqrt(17)
+    with pytest.raises(CapacityError):
+        Scalar.sqrt(2 * 3 * 5 * 7 * 11 * 13 * 17)
+    monkeypatch.setenv("VALFLAG_RADICAL_CAP", "7")
+    assert len((s + Scalar.sqrt(17)).radicals()) == 7
+    assert Scalar.sqrt(510510).radicals() == [510510]
     monkeypatch.setenv("VALFLAG_RADICAL_CAP", "junk")
     with pytest.raises(CapacityError):
-        s + Scalar.sqrt(23)
+        s + Scalar.sqrt(17)
 
 
-def test_product_gaining_a_ninth_radical_hits_cap(monkeypatch):
+def test_operands_with_disjoint_primes_past_the_cap_raise(monkeypatch):
     monkeypatch.delenv("VALFLAG_RADICAL_CAP", raising=False)
     a = Scalar({2: 1, 3: 1, 5: 1})
-    b = Scalar({7: 1, 11: 1, 13: 1})
-    with pytest.raises(CapacityError):
-        a * b
+    b = Scalar({7: 1, 11: 1, 13: 1, 17: 1})
+    for op in (operator.add, operator.mul, operator.truediv):
+        with pytest.raises(CapacityError):
+            op(a, b)
 
 
 def _assert_reduced(s):
     for n, q in s._terms.items():
         assert squarefree_split(n) == (1, n)
         assert type(q) is Fraction and q != 0
+        assert _prime_mask(n) & ~s._primes == 0
 
 
 def test_arithmetic_agrees_with_reducing_oracle():
@@ -236,8 +263,11 @@ def test_inexact_scalar_input_is_rejected():
     for terms in [{2.5: 1}, {True: 1}, {"2": 1}, {1: 0.1}, {2: 0.5}]:
         with pytest.raises(TypeError):
             Scalar(terms)
+    for value in (0.1, True, False):
+        with pytest.raises(TypeError):
+            Scalar.coerce(value)
     with pytest.raises(TypeError):
-        Scalar.coerce(0.1)
+        DefiningMatrix([[True, False, 1]])
     assert Scalar({8: Fraction(1, 2), 1: 3}) == Scalar.sqrt(2) + 3
 
 
