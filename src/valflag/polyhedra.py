@@ -443,7 +443,8 @@ def flag_from_matrix(P: Prime, kind: Optional[str] = None) -> Flag:
 
     cones kind: generators are the rows themselves.  polyhedra kind (cont
     primes only): the leading coefficient column is stripped, giving the
-    vertex from row 0 and one direction per further row.
+    vertex from row 0 (whose coefficient entry is 1) and one direction per
+    further row.
     """
     if kind is None:
         kind = "polyhedra" if classify(P) == CONT else "cones"
@@ -456,9 +457,7 @@ def flag_from_matrix(P: Prime, kind: Optional[str] = None) -> Flag:
         raise DomainError(f"bad flag kind {kind!r}")
     if classify(P) != CONT:
         raise DomainError("polyhedra flag needs a cont prime")
-    c0 = rows[0][0]
-    base = tuple(x / c0 for x in rows[0][1:])
-    return Flag("polyhedra", base, tuple(r[1:] for r in rows[1:]))
+    return Flag("polyhedra", rows[0][1:], tuple(r[1:] for r in rows[1:]))
 
 
 def matrix_from_flag(F: Flag) -> DefiningMatrix:
@@ -550,20 +549,21 @@ def simplicialize(
 
     The input must be a flag of cones: dim C_i = i+1 and each cone
     contains the previous one (validated by rank and cone-membership
-    tests).  Ray i is the first listed generator of C_i outside C_{i-1}
-    that is independent of the earlier choices.
+    tests).  Ray 0 is the first nonzero generator of C_0, and ray i the
+    first listed generator of C_i that is independent of the earlier
+    choices.  Those i choices are independent vectors of C_{i-1}, which
+    has dimension i, so they span it and ray i lies outside C_{i-1}.
     """
     if not cones:
         raise DomainError("empty cone list")
     gens_list = [
         [[Scalar.coerce(x) for x in g] for g in cone] for cone in cones
     ]
+    if not all(gens_list):
+        raise DomainError("cone without generators")
     d = len(gens_list[0][0])
-    for gens in gens_list:
-        if not gens:
-            raise DomainError("cone without generators")
-        if any(len(g) != d for g in gens):
-            raise DimensionError("generators of mixed dimension")
+    if any(len(g) != d for gens in gens_list for g in gens):
+        raise DimensionError("generators of mixed dimension")
     for i, gens in enumerate(gens_list):
         if field_rank([list(g) for g in gens]) != i + 1:
             raise DomainError(f"cone {i} does not have dimension {i + 1}")
@@ -573,12 +573,10 @@ def simplicialize(
                     raise DomainError(
                         f"cone {i} does not contain cone {i - 1}"
                     )
-    chosen = [gens_list[0][0]]
+    chosen = [next(g for g in gens_list[0] if any(g))]
     for i in range(1, len(gens_list)):
         pick = None
         for g in gens_list[i]:
-            if in_cone(g, gens_list[i - 1]):
-                continue
             if field_rank([list(c) for c in chosen] + [list(g)]) == i + 1:
                 pick = g
                 break

@@ -26,13 +26,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DimensionError, DomainError
-from .linalg import (
-    field_rank,
-    hermite_form,
-    in_lattice,
-    independent_rows,
-    integer_kernel,
-)
+from .linalg import hermite_form, in_lattice, independent_rows, integer_kernel
 from .scalars import Scalar, ScalarLike, dot, rational_part_basis, simplest_between
 from .tropical import NEG_INF, ExponentVector, TropPolynomial
 
@@ -127,10 +121,15 @@ class DefiningMatrix:
 
 
 class Prime:
-    """A prime congruence, represented by a matrix in canonical form.
+    """A prime congruence, held as the normal form of its defining matrix.
 
-    Canonical: rows linearly independent; first column entries all >= 0
-    with at most one nonzero.  Use canonicalize() to produce one.
+    The matrix must be a fixed point of canonicalize(): every row is
+    nonzero, its first nonzero entry is ±1, and +1 when that entry is in
+    the coefficient column, and it is zero at the lead columns of the rows
+    above it.  So the rows are independent and at most one coefficient
+    entry is nonzero, and that one is 1.  Use canonicalize() to produce
+    one.  Since the normal form is unique, == is equivalence under the
+    order-preserving row operations.
     """
 
     __slots__ = ("matrix",)
@@ -156,53 +155,41 @@ class Prime:
 
 
 def _check_canonical(matrix: DefiningMatrix) -> None:
+    """Refuse a matrix that canonicalize() would change; no arithmetic."""
     if not isinstance(matrix, DefiningMatrix):
         raise DomainError("expected a DefiningMatrix")
-    nonzero_c = 0
+    leads: list[int] = []
     for row in matrix.rows:
-        s = row[0].sign()
-        if s < 0:
-            raise DomainError("matrix not canonical: negative coefficient entry")
-        if s > 0:
-            nonzero_c += 1
-    if nonzero_c > 1:
-        raise DomainError(
-            "matrix not canonical: several nonzero coefficient entries"
-        )
-    if field_rank(matrix.rows) != len(matrix.rows):
-        raise DomainError("matrix not canonical: dependent rows")
+        if any(row[c] for c in leads):
+            raise DomainError(
+                "matrix not canonical: nonzero at the lead of a row above"
+            )
+        c = next((c for c, x in enumerate(row) if x), None)
+        if c is None:
+            raise DomainError("matrix not canonical: zero row")
+        if not (row[c] == 1 or (c and row[c] == -1)):
+            raise DomainError(
+                "matrix not canonical: lead is not 1 (or -1 outside the"
+                " coefficient column)"
+            )
+        leads.append(c)
 
 
 def canonicalize(matrix: DefiningMatrix | Sequence[Sequence[ScalarLike]]) -> Prime:
     """Canonical form of a defining matrix; same prime congruence.
 
-    Steps, all order-preserving: scale the first row with a nonzero
-    coefficient entry so that entry is 1 and clear the coefficient column
-    below it; then reduce every row against the kept rows above it,
-    dropping rows that reduce to zero and scaling survivors so the leading
-    entry has absolute value 1 (independent_rows).
+    Every row is reduced against the kept rows above it, rows that reduce
+    to zero are dropped, and survivors are scaled so that their lead has
+    absolute value 1 (independent_rows); all of these are order-preserving
+    row operations.  The first row with a nonzero coefficient entry keeps
+    its lead there, positive by the first-column check, so it becomes 1 and
+    the coefficient column is cleared below it.
     """
     if not isinstance(matrix, DefiningMatrix):
         matrix = DefiningMatrix(matrix)
     if not matrix.first_column_ok():
         raise DomainError("invalid matrix: first column lexicographically < 0")
-    rows = [list(r) for r in matrix.rows]
-    pivot_i = next((i for i, r in enumerate(rows) if r[0].sign()), None)
-    if pivot_i is not None:
-        rows[pivot_i] = _divided(rows[pivot_i], rows[pivot_i][0])
-        for i in range(pivot_i + 1, len(rows)):
-            ci = rows[i][0]
-            if ci:
-                rows[i] = [
-                    x - ci * y for x, y in zip(rows[i], rows[pivot_i])
-                ]
-    return Prime(DefiningMatrix(independent_rows(rows), n=matrix.n))
-
-
-def _divided(values: Sequence[Scalar], c: Scalar) -> list[Scalar]:
-    """values / c, with one inverse of c for the whole row."""
-    inv = 1 / c
-    return [x * inv for x in values]
+    return Prime(DefiningMatrix(independent_rows(matrix.rows), n=matrix.n))
 
 
 def row_op_normal_form(
@@ -343,10 +330,11 @@ def _effective_row(row: Sequence[Scalar], H: KernelSubgroup):
     """Restrict a matrix row to H.
 
     Returns None when the row vanishes identically on H, otherwise
-    (c, values): c is the coefficient entry and values pairs the rest of
-    the row with each lattice basis vector.  In graph kind c is 0, so the
-    pairing needs no c·ell term: a canonical matrix has one nonzero
-    coefficient entry, and H turns graph only when that row is consumed.
+    (c, values): c is the coefficient entry, 0 or 1 in a canonical matrix,
+    and values pairs the rest of the row with each lattice basis vector.
+    In graph kind c is 0, so the pairing needs no c·ell term: a canonical
+    matrix has one nonzero coefficient entry, and H turns graph only when
+    that row is consumed.
     """
     c, xi = row[0], row[1:]
     values = [dot(xi, b) for b in H.lattice]
@@ -395,15 +383,14 @@ def _restrict(
 ) -> KernelSubgroup:
     """Intersect H with the vanishing of an effective row (c, values).
 
-    A canonical matrix has c >= 0.  With c > 0, in product kind, the row
-    fixes gamma = -values·m / c, and H becomes the graph of that functional
-    on the lattice where it is rational; otherwise the covector values must
-    vanish on the lattice.
+    A canonical matrix has c = 0 or c = 1.  With c = 1, in product kind,
+    the row fixes gamma = -values·m, and H becomes the graph of that
+    functional on the lattice where it is rational; otherwise the covector
+    values must vanish on the lattice.
     """
     if c:
-        ratio = _divided(values, c)
-        basis, old_coeffs = _lattice_restrict(H, rational_part_basis(ratio))
-        ell = tuple(-dot(ratio, m).as_rational() for m in old_coeffs)
+        basis, old_coeffs = _lattice_restrict(H, rational_part_basis(values))
+        ell = tuple(-dot(values, m).as_rational() for m in old_coeffs)
         return KernelSubgroup("graph", H.n, basis, ell)
     coeff_rows = [[x.rational_part() for x in values]]
     coeff_rows.extend(rational_part_basis(values))
@@ -475,22 +462,19 @@ def _one_sided_witness(
 
 
 def _mixed_case_witness(
-    H: KernelSubgroup,
-    c_pos: Scalar,
-    vals_pos: list[Scalar],
-    vals_zero: list[Scalar],
+    H: KernelSubgroup, vals_pos: list[Scalar], vals_zero: list[Scalar]
 ) -> ExponentVector:
-    """Product kind, one coefficient entry positive and one zero.
+    """Product kind, one coefficient entry 1 and the other 0.
 
     Pick a basis vector on which the zero-coefficient side is strictly
-    negative and a rational gamma large enough that the positive side is
-    strictly positive; the two lex signs are then -1 and +1.
+    negative and a rational gamma > -value_pos, so that the side with
+    coefficient entry 1 reads gamma + value_pos > 0; the two lex signs are
+    then -1 and +1.
     """
     d = next(i for i, v in enumerate(vals_zero) if v)
     flip = vals_zero[d].sign() > 0
     value_pos = -vals_pos[d] if flip else vals_pos[d]
-    threshold = -(value_pos / c_pos)
-    gamma = Fraction(threshold.floor() + 1)
+    gamma = Fraction((-value_pos).floor() + 1)
     return H.member(_unit(H, d, -1 if flip else 1), gamma)
 
 
@@ -589,19 +573,18 @@ def decide_equal(A: Prime, B: Prime) -> EqualityVerdict:
             _, values = eff_a or eff_b
             return _distinguished(A, B, _one_sided_witness(H, values))
         (ca, ga), (cb, gb) = eff_a, eff_b
-        # coefficient entries are >= 0, and nonzero only in product kind
+        # coefficient entries are 0 or 1, and nonzero only in product kind
         pa, pb = bool(ca), bool(cb)
         if pa != pb:
             if pa:
-                w = _mixed_case_witness(H, ca, ga, gb)
+                w = _mixed_case_witness(H, ga, gb)
             else:
-                w = _mixed_case_witness(H, cb, gb, ga)
+                w = _mixed_case_witness(H, gb, ga)
             return _distinguished(A, B, w)
         if pa:
-            ra, rb = _divided(ga, ca), _divided(gb, cb)
-            split = next((d for d in range(len(ra)) if ra[d] != rb[d]), None)
+            split = next((d for d in range(len(ga)) if ga[d] != gb[d]), None)
             if split is not None:
-                ta, tb = -ra[split], -rb[split]
+                ta, tb = -ga[split], -gb[split]
                 lo, hi = (ta, tb) if ta < tb else (tb, ta)
                 gamma = simplest_between(lo, hi)
                 w = H.member(_unit(H, split, 1), gamma)

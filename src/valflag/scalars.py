@@ -364,17 +364,22 @@ class Scalar:
             )
         return self._hash
 
+    def _sign_minus(self, other: ScalarLike) -> int:
+        """Sign of self - other; a zero other is not subtracted."""
+        other = Scalar.coerce(other)
+        return (self - other).sign() if other else self.sign()
+
     def __lt__(self, other: ScalarLike) -> bool:
-        return (self - other).sign() < 0
+        return self._sign_minus(other) < 0
 
     def __le__(self, other: ScalarLike) -> bool:
-        return (self - other).sign() <= 0
+        return self._sign_minus(other) <= 0
 
     def __gt__(self, other: ScalarLike) -> bool:
-        return (self - other).sign() > 0
+        return self._sign_minus(other) > 0
 
     def __ge__(self, other: ScalarLike) -> bool:
-        return (self - other).sign() >= 0
+        return self._sign_minus(other) >= 0
 
     def floor(self) -> int:
         """Largest integer <= self, exact."""

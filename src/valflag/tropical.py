@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionError, DomainError, ParseError
-from .scalars import RationalLike, Scalar, dot
+from .scalars import ONE, RationalLike, Scalar, dot
 
 NEG_INF = float("-inf")
 
@@ -187,24 +187,10 @@ class TropPolynomial:
 
     def eval_at(self, x: Sequence[Scalar]):
         """max over terms of gamma + <x, u>; NEG_INF for the zero polynomial."""
-        if len(x) != self.n:
-            raise DimensionError(
-                f"point of length {len(x)} for a {self.n}-variable polynomial"
-            )
-        if not self._terms:
-            return NEG_INF
-        best = None
-        for u, gamma in self._terms.items():
-            val = Scalar.rational(gamma) + dot(x, u)
-            if best is None or val > best:
-                best = val
-        return best
+        return self.eval_homog(ONE, x)
 
     def eval_homog(self, r: Scalar, x: Sequence[Scalar]):
-        """max over terms of r*gamma + <x, u>; requires r >= 0.
-
-        Restricting to r = 1 recovers eval_at.
-        """
+        """max over terms of r*gamma + <x, u>; requires r >= 0."""
         r = Scalar.coerce(r)
         if r.sign() < 0:
             raise DomainError(f"homogenizing coordinate must be >= 0, got {r}")

@@ -30,6 +30,14 @@ The echelon oracle rebuilds a full reduced row echelon form (RREF) after
 every kept row and reduces each new row against it, dividing entry by
 entry, where ``independent_rows`` reduces against the kept rows
 themselves with one inverse per row.
+
+The canonical-matrix oracle is the weaker rule by rank: independent rows
+and at most one nonzero coefficient entry, all of them nonnegative, where
+``Prime`` checks the normal form of ``canonicalize`` by a structural scan.
+
+The simplicialization oracle skips every generator inside the previous
+cone by a Fourier-Motzkin cone test before its rank test, where
+``simplicialize`` runs the rank test alone.
 """
 
 from __future__ import annotations
@@ -53,6 +61,7 @@ from valflag import (
     Scalar,
     TropPolynomial,
     canonicalize,
+    in_cone,
 )
 from valflag.scalars import ZERO, dot, simplest_between
 
@@ -316,6 +325,42 @@ def ref_canonicalize(matrix) -> DefiningMatrix:
     return DefiningMatrix(ref_independent_rows(rows), n=matrix.n)
 
 
+def ref_weakly_canonical(matrix: DefiningMatrix) -> bool:
+    """Independent rows, coefficient entries >= 0 and at most one nonzero."""
+    signs = [row[0].sign() for row in matrix.rows]
+    if any(s < 0 for s in signs) or sum(signs) > 1:
+        return False
+    return ref_rank(matrix.rows) == len(matrix.rows)
+
+
+# -- simplicialization with the cone test --------------------------------------
+
+
+def ref_simplicial_rays(cones) -> tuple[list[list[Scalar]] | None, int]:
+    """The rays simplicialize picks, by a selection loop that skips each
+    generator of C_i lying in C_{i-1} before the rank test; None when some
+    cone adds no independent ray.  Also returns how many generators the
+    cone test skipped."""
+    gens_list = [
+        [[Scalar.coerce(x) for x in g] for g in cone] for cone in cones
+    ]
+    chosen = [gens_list[0][0]]
+    skipped = 0
+    for i in range(1, len(gens_list)):
+        pick = None
+        for g in gens_list[i]:
+            if in_cone(g, gens_list[i - 1]):
+                skipped += 1
+                continue
+            if ref_rank(chosen + [g]) == i + 1:
+                pick = g
+                break
+        if pick is None:
+            return None, skipped
+        chosen.append(pick)
+    return chosen, skipped
+
+
 # -- scalar arithmetic through the reducing constructor -----------------------
 
 
@@ -540,6 +585,41 @@ def random_radical_matrix(rng: random.Random) -> DefiningMatrix:
     if first is not None and first[0].sign() < 0:
         first[:] = [-x for x in first]
     return DefiningMatrix(rows, n=n)
+
+
+def random_nonsimplicial_cones(rng: random.Random) -> list[list[list[Fraction]]]:
+    """A flag of cones C_0 ⊂ … ⊂ C_{k-1}, dim C_i = i+1, in dimension 2 or
+    3, where C_i lists rays 0..i and up to two redundant generators in
+    shuffled order, and at least one cone has a redundant generator."""
+    d = rng.choice([2, 3])
+    length = rng.randint(1, d)
+    rays = []
+    while len(rays) < length:
+        v = [Fraction(rng.randint(0, 3))]
+        v += [Fraction(rng.randint(-3, 3)) for _ in range(d - 1)]
+        if any(v) and ref_rank(rays + [v]) == len(rays) + 1:
+            rays.append(v)
+    cones = []
+    redundant = False
+    for i in range(length):
+        gens = [list(v) for v in rays[: i + 1]]
+        extras = rng.randint(0, 2)
+        if i == length - 1 and not redundant:
+            extras = max(extras, 1)
+        for _ in range(extras):
+            if i == 0:
+                m = rng.randint(2, 3)
+                gens.append([m * x for x in rays[0]])
+            else:
+                j = rng.randint(0, i - 1)
+                a, b = rng.randint(1, 3), rng.randint(1, 3)
+                gens.append(
+                    [a * x + b * y for x, y in zip(rays[j], rays[i])]
+                )
+            redundant = True
+        rng.shuffle(gens)
+        cones.append(gens)
+    return cones
 
 
 def random_term(rng: random.Random, n: int, bound: int = 3) -> ExponentVector:

@@ -41,12 +41,12 @@ from valflag import (
     row_op_normal_form,
     simplicialize,
 )
-from valflag.linalg import field_rank
 from valflag.scalars import dot
 
 from _oracles import (
     grid_exponents,
     naive_feasible,
+    random_nonsimplicial_cones,
     random_prime,
     random_term,
     transform_rows,
@@ -350,43 +350,11 @@ def test_criterion_09_preorder_from_halfspace_oracle():
 # -- 10 ------------------------------------------------------------------
 
 
-def _random_nonsimplicial_cones(rng):
-    d = rng.choice([2, 3])
-    length = rng.randint(1, d)
-    rays = []
-    while len(rays) < length:
-        v = [Fraction(rng.randint(0, 3))]
-        v += [Fraction(rng.randint(-3, 3)) for _ in range(d - 1)]
-        if any(v) and field_rank(rays + [v]) == len(rays) + 1:
-            rays.append(v)
-    cones = []
-    redundant = False
-    for i in range(length):
-        gens = [list(v) for v in rays[: i + 1]]
-        extras = rng.randint(0, 2)
-        if i == length - 1 and not redundant:
-            extras = max(extras, 1)
-        for _ in range(extras):
-            if i == 0:
-                m = rng.randint(2, 3)
-                gens.append([m * x for x in rays[0]])
-            else:
-                j = rng.randint(0, i - 1)
-                a, b = rng.randint(1, 3), rng.randint(1, 3)
-                gens.append(
-                    [a * x + b * y for x, y in zip(rays[j], rays[i])]
-                )
-            redundant = True
-        rng.shuffle(gens)
-        cones.append(gens)
-    return cones
-
-
 def test_criterion_10_simplicialization():
     with criterion(10, "simplicialization is locally equivalent", limit=60.0):
         rng = random.Random(1010)
         for _ in range(50):
-            cones = _random_nonsimplicial_cones(rng)
+            cones = random_nonsimplicial_cones(rng)
             assert any(len(gens) > i + 1 for i, gens in enumerate(cones))
             simp = simplicialize(cones)
             assert all(len(v) == simp.d for v in simp.dirs)

@@ -32,10 +32,12 @@ from valflag.scalars import ZERO, dot
 
 from _oracles import (
     naive_feasible,
+    random_nonsimplicial_cones,
     random_prime,
     random_scalar,
     ref_dim,
     ref_fm_feasible,
+    ref_simplicial_rays,
 )
 
 R2 = Scalar.sqrt(2)
@@ -499,9 +501,18 @@ def test_simplicialize_redundant_generators_stay_equivalent():
     assert decide_equal(A, B).equal
 
 
+def test_simplicialize_skips_a_zero_generator():
+    F = simplicialize([[[0, 0], [1, 0]], [[1, 0], [0, 1]]])
+    assert F.base == (Scalar.rational(1), ZERO)
+    assert F.dirs == ((ZERO, Scalar.rational(1)),)
+    assert simplicialize([[[0, 0], [2, 0]]]).base == (Scalar.rational(2), ZERO)
+
+
 def test_simplicialize_validation():
     with pytest.raises(DomainError):
         simplicialize([])
+    with pytest.raises(DomainError):
+        simplicialize([[]])  # a cone without generators
     with pytest.raises(DomainError):
         simplicialize([[[1, 0], [0, 1]]])  # first cone must be a ray
     with pytest.raises(DomainError):
@@ -510,6 +521,20 @@ def test_simplicialize_validation():
     with pytest.raises(DomainError):
         # rank does not grow
         simplicialize([[[1, 0]], [[1, 0], [2, 0]]])
+
+
+def test_simplicialize_picks_as_with_cone_test():
+    """The rank test alone picks the rays that a cone test before it
+    picks: the earlier picks span the previous cone."""
+    rng = random.Random(1213)
+    skipped = 0
+    for _ in range(400):
+        cones = random_nonsimplicial_cones(rng)
+        rays, k = ref_simplicial_rays(cones)
+        F = simplicialize(cones)
+        assert [F.base, *F.dirs] == [tuple(r) for r in rays]
+        skipped += k
+    assert skipped >= 100
 
 
 def test_relative_interior_matrix():

@@ -45,6 +45,7 @@ from _oracles import (
     ref_compare,
     ref_covector_witness,
     ref_phi,
+    ref_weakly_canonical,
     transform_rows,
 )
 
@@ -122,6 +123,59 @@ def test_prime_validation():
         Prime(DefiningMatrix([[1, 2, 0], [1, 2, 0]]))  # dependent rows
     with pytest.raises(DomainError):
         Prime(DefiningMatrix([[0, 1], [-1, 0]]))
+    # weakly canonical (independent rows, one nonnegative coefficient
+    # entry) but not the normal form of canonicalize
+    with pytest.raises(DomainError):
+        Prime(DefiningMatrix([[0, 2, 0]]))  # lead 2
+    with pytest.raises(DomainError):
+        Prime(DefiningMatrix([[2, 0, 1]]))  # coefficient entry 2
+    with pytest.raises(DomainError):
+        # second row not zero at the first row's lead
+        Prime(DefiningMatrix([[0, 1, 1], [0, 1, 0]]))
+
+
+def _prime_contract_cases(rng):
+    """Random matrices, random_prime outputs and their row-transformed
+    images."""
+    entries = (-1, 0, 0, 1, 1, 2, R2)
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        yield DefiningMatrix(
+            [[rng.choice(entries) for _ in range(n + 1)]
+             for _ in range(rng.randint(0, 3))],
+            n=n,
+        )
+        A = random_prime(rng, n)
+        yield A.matrix
+        yield transform_rows(rng, A.matrix)
+
+
+def test_prime_accepts_exactly_the_normal_forms():
+    """Prime(M) succeeds exactly when M passes the weaker rank-based rule
+    and canonicalize leaves it unchanged; canonical forms agree with the
+    oracle, also where a coefficient entry below the first nonzero one is
+    nonzero or negative."""
+    rng = random.Random(1212)
+    accepted = weak_refused = coefficient_below = negative_below = 0
+    for M in _prime_contract_cases(rng):
+        try:
+            Prime(M)
+            ok = True
+        except DomainError:
+            ok = False
+        weak = ref_weakly_canonical(M)
+        assert ok == (weak and canonicalize(M).matrix == M)
+        accepted += ok
+        weak_refused += weak and not ok
+        if M.first_column_ok():
+            assert canonicalize(M).matrix == ref_canonicalize(M)
+            below = [r[0].sign() for r in M.rows if r[0]][1:]
+            coefficient_below += bool(below)
+            negative_below += -1 in below
+    assert accepted >= 300
+    assert weak_refused >= 100
+    assert coefficient_below >= 100
+    assert negative_below >= 30
 
 
 def test_defining_matrix_validation():
