@@ -21,7 +21,7 @@ from .errors import ParseError, ValflagError
 from .prime import CONT, DefiningMatrix, Prime
 from .polyhedra import GammaPolyhedralSet, GammaPolyhedron
 from .scalars import Scalar, format_scalar, parse_scalar
-from .tropical import format_exponent, parse_poly, parse_term
+from .tropical import check_names, format_exponent, parse_poly, parse_term
 
 
 def _read(path: str) -> str:
@@ -41,7 +41,8 @@ def _load_json(path: str) -> object:
 
 def load_matrix(path: str) -> tuple[list[str], Prime]:
     """Matrix file {"vars": [...], "rows": [[scalar strings]]}; the matrix
-    is canonicalized on load."""
+    is canonicalized on load.  The vars are distinct identifiers other
+    than t, so that terms over them read back."""
     data = _load_json(path)
     if (
         not isinstance(data, dict)
@@ -49,7 +50,10 @@ def load_matrix(path: str) -> tuple[list[str], Prime]:
         or not isinstance(data.get("rows"), list)
     ):
         raise ParseError(f'{path}: expected {{"vars": [...], "rows": [...]}}')
-    names = [str(v) for v in data["vars"]]
+    try:
+        names = check_names(data["vars"])
+    except ParseError as e:
+        raise ParseError(f"{path}: {e}") from None
     n = len(names)
     rows = []
     for row in data["rows"]:
@@ -131,19 +135,14 @@ def _scalar_pair(x: Scalar) -> dict:
     return {"exact": format_scalar(x), "approx": _approx(x)}
 
 
-_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_NAME = re.compile(r"[^\W\d]\w*")
 
 
 def infer_vars(texts: Sequence[str]) -> list[str]:
-    """Variable names appearing in term strings, alphabetically; `t` and
-    `sqrt` are grammar keywords, not variables."""
-    names = set()
-    for text in texts:
-        for match in _NAME.finditer(text):
-            word = match.group(0)
-            if word not in ("t", "sqrt"):
-                names.add(word)
-    return sorted(names)
+    """Variable names appearing in term strings, alphabetically; `t` is the
+    term grammar's one keyword, not a variable."""
+    names = {match.group(0) for text in texts for match in _NAME.finditer(text)}
+    return sorted(names - {"t"})
 
 
 # -- verb handlers ------------------------------------------------------------

@@ -12,8 +12,8 @@ class ValflagError(Exception):
 class ParseError(ValflagError):
     """Input text does not conform to a grammar.
 
-    Carries a character position; line/column are derived lazily so callers
-    that never print the error pay nothing.
+    Carries the text and a character position in it; the message names the
+    line and column of that position, computed when the error is raised.
     """
 
     def __init__(self, message: str, text: str = "", pos: int = 0):

@@ -33,7 +33,7 @@ import itertools
 import math
 import os
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import CapacityError, ParseError
 
@@ -103,18 +103,15 @@ def squarefree_split(n: int) -> tuple[int, int]:
     if n == 0:
         return 0, 1
     outer, inner = 1, 1
-    p = 2
-    while p * p <= n:
+    while n > 1:
+        p = _smallest_prime_factor(n)
+        n //= p
         if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            outer *= p ** (e // 2)
-            if e % 2:
-                inner *= p
-        p += 1 if p == 2 else 2
-    return outer, inner * n
+            n //= p
+            outer *= p
+        else:
+            inner *= p
+    return outer, inner
 
 
 class Scalar:
@@ -331,6 +328,11 @@ class Scalar:
                 hi += a * t
         return lo, hi, den << prec
 
+    def _brackets(self) -> Iterator[tuple[int, int, int]]:
+        """_interval at precision 64, 128, 256, ...; they close in on self."""
+        for k in itertools.count():
+            yield self._interval(64 << k)
+
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}."""
         if not self._terms:
@@ -338,14 +340,11 @@ class Scalar:
         if self.is_rational():
             q = self._terms[1]
             return -1 if q < 0 else 1
-        prec = 64
-        while True:
-            lo, hi, _ = self._interval(prec)
+        for lo, hi, _ in self._brackets():
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
-            prec *= 2
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -386,13 +385,9 @@ class Scalar:
         if self.is_rational():
             q = self.rational_part()
             return q.numerator // q.denominator
-        prec = 64
-        while True:
-            lo, hi, den = self._interval(prec)
-            flo = lo // den
-            if flo == hi // den:
-                return flo
-            prec *= 2
+        for lo, hi, den in self._brackets():
+            if lo // den == hi // den:
+                return lo // den
 
     def approx(self) -> float:
         """Floating approximation; display only, never used in decisions."""
@@ -426,7 +421,7 @@ def _smallest_prime_factor(n: int) -> int:
 
 def dot(xs: Sequence[Scalar], coeffs: Sequence[ScalarLike]) -> Scalar:
     """sum coeffs[i] * xs[i]; rational coefficients avoid full products."""
-    acc = Scalar()
+    acc = ZERO
     for x, c in zip(xs, coeffs):
         if isinstance(c, Scalar):
             if c:
@@ -484,6 +479,7 @@ def _simplest_positive(a: Scalar, b: Scalar) -> Fraction:
 # expr     := ('+'|'-')? term (('+'|'-') term)*
 # term     := rational ('*' 'sqrt(' uint ')')? | 'sqrt(' uint ')'
 # rational := int ('/' uint)?
+# int      := ('+'|'-')? uint
 #
 # The leading sign is a permissive extension so that formatted output like
 # "-sqrt(2)" reads back; canonical output always parses.
@@ -516,7 +512,7 @@ class _Cursor:
     def uint(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an unsigned integer", self.text, start)
@@ -527,18 +523,24 @@ class _Cursor:
         return self.pos >= len(self.text)
 
 
+def _parse_int(cur: _Cursor) -> int:
+    """int := ('+'|'-')? uint"""
+    if cur.take("-"):
+        return -cur.uint()
+    cur.take("+")
+    return cur.uint()
+
+
 def _parse_rational(cur: _Cursor) -> Fraction:
-    sign = -1 if cur.take("-") else 1
-    if sign == 1:
-        cur.take("+")
-    num = cur.uint()
+    num = _parse_int(cur)
     if cur.take("/"):
+        cur.skip_ws()
         pos = cur.pos
         den = cur.uint()
         if den == 0:
             raise ParseError("zero denominator", cur.text, pos)
-        return Fraction(sign * num, den)
-    return Fraction(sign * num)
+        return Fraction(num, den)
+    return Fraction(num)
 
 
 def _parse_term(cur: _Cursor) -> Scalar:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionError, DomainError, ParseError
-from .scalars import ONE, RationalLike, Scalar, dot
+from .scalars import ONE, RationalLike, Scalar, _Cursor, _parse_int, _parse_rational, dot
 
 NEG_INF = float("-inf")
 
@@ -86,7 +86,11 @@ class TropPolynomial:
     __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms: Mapping[tuple[int, ...], RationalLike] = ()):
-        self.n = int(n)
+        """Build from a map, or pairs, exponent -> coefficient exponent; a
+        repeated exponent keeps its largest coefficient (tropical sum)."""
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise DomainError(f"variable count must be an int >= 0, got {n!r}")
+        self.n = n
         clean: dict[tuple[int, ...], Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for u, gamma in items:
@@ -114,7 +118,7 @@ class TropPolynomial:
 
     @classmethod
     def term(cls, gamma: RationalLike, u: Sequence[int]) -> "TropPolynomial":
-        return cls(len(u), {tuple(u): Fraction(gamma)})
+        return cls(len(u), {tuple(u): gamma})
 
     @classmethod
     def from_exponent(cls, ev: ExponentVector) -> "TropPolynomial":
@@ -163,25 +167,14 @@ class TropPolynomial:
     def __add__(self, other: "TropPolynomial") -> "TropPolynomial":
         """Tropical sum: coefficientwise max."""
         self._check(other)
-        merged = dict(self._terms)
-        for u, gamma in other._terms.items():
-            prev = merged.get(u)
-            if prev is None or gamma > prev:
-                merged[u] = gamma
-        return TropPolynomial(self.n, merged)
+        return TropPolynomial(self.n, [*self._terms.items(), *other._terms.items()])
 
     def __mul__(self, other: "TropPolynomial") -> "TropPolynomial":
         """Tropical product: max-plus convolution."""
         self._check(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for u, a in self._terms.items():
-            for v, b in other._terms.items():
-                w = tuple(i + j for i, j in zip(u, v))
-                c = a + b
-                prev = out.get(w)
-                if prev is None or c > prev:
-                    out[w] = c
-        return TropPolynomial(self.n, out)
+        pairs = [(tuple(i + j for i, j in zip(u, v)), a + b)
+                 for u, a in self._terms.items() for v, b in other._terms.items()]
+        return TropPolynomial(self.n, pairs)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -227,71 +220,72 @@ def _default_names(n: int) -> list[str]:
 # term   := factor ('*' factor)*
 # factor := 't' '^' rational | name ('^' int)?
 #
+# rational and int are the scalar grammar's, signs and spaces included.
 # Repeated factors multiply (exponents add).  A term with no t factor has
-# coefficient exponent 0.
+# coefficient exponent 0.  Names are distinct identifiers other than t, and
+# are matched longest first, so that a name x1 is not read as x.
+
+
+def check_names(names: Sequence[str]) -> list[str]:
+    """names as a list; ParseError unless they are distinct identifiers
+    other than t, so that every formatted term reads back."""
+    names = list(names)
+    for i, name in enumerate(names):
+        if not isinstance(name, str) or not name.isidentifier():
+            raise ParseError(f"variable name {name!r} is not an identifier")
+        if name == "t":
+            raise ParseError("variable name 't' is reserved for coefficients")
+        if name in names[:i]:
+            raise ParseError(f"variable name {name!r} is repeated")
+    return names
+
+
+def _read_terms(
+    text: str, names: Sequence[str], single: bool = False
+) -> list[tuple[tuple[int, ...], Fraction]]:
+    """The terms of text as (u, gamma) pairs in the order written, before
+    any merge; with single, exactly one term.  A ParseError points at the
+    offending character."""
+    names = check_names(names)
+    if text.strip() == "0" and not single:
+        return []
+    index = {name: i for i, name in enumerate(names)}
+    symbols = sorted([*names, "t"], key=len, reverse=True)
+    cur = _Cursor(text)
+    terms = []
+    while True:
+        gamma = Fraction(0)
+        u = [0] * len(names)
+        while True:
+            name = next((s for s in symbols if cur.take(s)), None)
+            if name is None:
+                raise ParseError("expected 't^' or a variable", text, cur.pos)
+            if name == "t":
+                cur.expect("^")
+                gamma += _parse_rational(cur)
+            else:
+                u[index[name]] += _parse_int(cur) if cur.take("^") else 1
+            if not cur.take("*"):
+                break
+        terms.append((tuple(u), gamma))
+        if single or not cur.take("+"):
+            break
+    if cur.done():
+        return terms
+    if single and cur.peek() == "+":
+        raise ParseError("expected a single term", text, cur.pos)
+    raise ParseError("expected '*' or '+'", text, cur.pos)
 
 
 def parse_poly(text: str, names: Sequence[str]) -> TropPolynomial:
-    names = list(names)
-    n = len(names)
-    stripped = text.strip()
-    if stripped == "0":
-        return TropPolynomial.zero(n)
-    poly = TropPolynomial.zero(n)
-    pos = 0
-    for chunk in stripped.split("+"):
-        gamma = Fraction(0)
-        u = [0] * n
-        piece = chunk.strip()
-        if not piece:
-            raise ParseError("empty term", text, pos)
-        for factor in piece.split("*"):
-            factor = factor.strip()
-            if not factor:
-                raise ParseError("empty factor", text, pos)
-            base, _, exp = factor.partition("^")
-            base = base.strip()
-            exp = exp.strip()
-            if base == "t":
-                if not exp:
-                    raise ParseError("t requires an exponent", text, pos)
-                gamma += _parse_signed_rational(exp, text, pos)
-            elif base in names:
-                e = 1
-                if exp:
-                    e = _parse_signed_int(exp, text, pos)
-                u[names.index(base)] += e
-            else:
-                raise ParseError(f"unknown factor {base!r}", text, pos)
-        poly = poly + TropPolynomial.term(gamma, u)
-        pos += len(chunk) + 1
-    return poly
+    return TropPolynomial(len(names), _read_terms(text, names))
 
 
 def parse_term(text: str, names: Sequence[str]) -> ExponentVector:
-    poly = parse_poly(text, names)
-    if not poly.is_term():
-        raise ParseError(f"expected a single term, got {len(poly)}", text, 0)
-    return poly.the_term()
-
-
-def _parse_signed_int(text: str, src: str, pos: int) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ParseError(f"bad integer {text!r}", src, pos) from exc
-
-
-def _parse_signed_rational(text: str, src: str, pos: int) -> Fraction:
-    num, slash, den = text.partition("/")
-    try:
-        if slash:
-            value = Fraction(int(num), int(den))
-        else:
-            value = Fraction(int(num))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {text!r}", src, pos) from exc
-    return value
+    """The one term written in text; a sum is refused even when its terms
+    merge into one."""
+    ((u, gamma),) = _read_terms(text, names, single=True)
+    return ExponentVector(gamma, u)
 
 
 def format_exponent(ev: ExponentVector, names: Sequence[str]) -> str:

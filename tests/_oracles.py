@@ -38,6 +38,10 @@ and at most one nonzero coefficient entry, all of them nonnegative, where
 The simplicialization oracle skips every generator inside the previous
 cone by a Fourier-Motzkin cone test before its rank test, where
 ``simplicialize`` runs the rank test alone.
+
+The term-text oracle splits the text on '+', '*' and '^' and reads each
+piece with ``int``, where ``parse_poly`` walks the scalar grammar's cursor;
+it merges repeated exponents in its own dict.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from valflag import (
     LESS,
     NEG_INF,
     DefiningMatrix,
+    ParseError,
     DimensionError,
     DomainError,
     ExponentVector,
@@ -662,3 +667,53 @@ def grid_exponents(n: int, bound: int, max_den: int):
     for u in product(range(-bound, bound + 1), repeat=n):
         for g in gammas:
             yield ExponentVector(g, u)
+
+
+def ref_parse_poly(text: str, names) -> TropPolynomial:
+    """The term grammar by splitting; every error is reported at the start
+    of the term that holds it."""
+    names = list(names)
+    n = len(names)
+    stripped = text.strip()
+    if stripped == "0":
+        return TropPolynomial.zero(n)
+    merged: dict[tuple[int, ...], Fraction] = {}
+    pos = 0
+    for chunk in stripped.split("+"):
+        gamma = Fraction(0)
+        u = [0] * n
+        piece = chunk.strip()
+        if not piece:
+            raise ParseError("empty term", text, pos)
+        for factor in piece.split("*"):
+            factor = factor.strip()
+            if not factor:
+                raise ParseError("empty factor", text, pos)
+            base, _, exp = factor.partition("^")
+            base = base.strip()
+            exp = exp.strip()
+            try:
+                if base == "t":
+                    if not exp:
+                        raise ParseError("t requires an exponent", text, pos)
+                    num, slash, den = exp.partition("/")
+                    gamma += Fraction(int(num), int(den) if slash else 1)
+                elif base in names:
+                    u[names.index(base)] += int(exp) if exp else 1
+                else:
+                    raise ParseError(f"unknown factor {base!r}", text, pos)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(f"bad exponent {exp!r}", text, pos) from exc
+        u = tuple(u)
+        if u not in merged or gamma > merged[u]:
+            merged[u] = gamma
+        pos += len(chunk) + 1
+    return TropPolynomial(n, merged)
+
+
+def ref_parse_term(text: str, names) -> ExponentVector:
+    """A text whose terms merge into one is read as that term."""
+    poly = ref_parse_poly(text, names)
+    if not poly.is_term():
+        raise ParseError(f"expected a single term, got {len(poly)}", text, 0)
+    return poly.the_term()

@@ -157,6 +157,11 @@ def test_cert_inferred_vars(capsys):
     # names come out sorted, so a is the first coordinate
     assert cli.main(["cert", "b", "a*b", "a^-1"]) == 0
     assert json.loads(capsys.readouterr().out) == {"m": 1, "m_l": [1, 1], "b": "0"}
+    # sqrt belongs to the scalar grammar, not to the term grammar, and a
+    # name is any identifier, as in --vars
+    for name in ["sqrt", "α"]:
+        assert cli.main(["cert", name, name]) == 0
+        assert json.loads(capsys.readouterr().out) == {"m": 1, "m_l": [1], "b": "0"}
 
 
 def test_cert_counterexample(capsys):
@@ -184,6 +189,37 @@ def test_cmp_bad_polynomial(tmp_path, capsys):
     m = jfile(tmp_path, "m.json", SIMPLE)
     assert cli.main(["cmp", m, "x +", "t^2"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cert_refuses_a_sum_of_terms(capsys):
+    # x + t^1*x merges into the single term t^1*x, but it is written as two
+    assert cli.main(["cert", "x + t^1*x", "x"]) == 2
+    assert "single term" in capsys.readouterr().err
+
+
+def test_ambiguous_variable_names_exit_two(tmp_path, capsys):
+    # a repeated name would bind every x to one index, and a variable t
+    # would be printed as t^-1*t, which reads back as a coefficient
+    repeated = jfile(tmp_path, "repeated.json",
+                     {"vars": ["x", "x"], "rows": [["1", "0", "0"]]})
+    reserved = jfile(tmp_path, "reserved.json",
+                     {"vars": ["t", "y"], "rows": [["1", "sqrt(2)", "0"]]})
+    # JSON null is not the name "None"
+    null = jfile(tmp_path, "null.json", {"vars": [None], "rows": [["1", "0"]]})
+    simple = jfile(tmp_path, "simple.json", SIMPLE)
+    calls = [
+        ["cmp", repeated, "x", "t^1"],
+        ["canon", reserved],
+        ["eq", simple, reserved],
+        ["canon", null],
+        ["cert", "--vars", "x,x", "x", "x"],
+        ["cert", "--vars", "t,x", "x", "x"],
+    ]
+    for argv in calls:
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "variable name" in captured.err
 
 
 def test_mindim_polyhedron(tmp_path, capsys):
@@ -236,9 +272,11 @@ def test_malformed_json(tmp_path, capsys):
 
 
 def test_bad_scalar_string(tmp_path, capsys):
-    m = jfile(tmp_path, "m.json", {"vars": ["x"], "rows": [["1", "bogus"]]})
-    assert cli.main(["canon", m]) == 2
-    assert "error:" in capsys.readouterr().err
+    # '²' is a digit to str.isdigit but not to int()
+    for entry in ["bogus", "²"]:
+        m = jfile(tmp_path, "m.json", {"vars": ["x"], "rows": [["1", entry]]})
+        assert cli.main(["canon", m]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_row_length_mismatch(tmp_path, capsys):

@@ -53,8 +53,10 @@ def test_parse_errors_carry_position():
     assert "column" in str(err.value)
     with pytest.raises(ParseError):
         parse_scalar("")
-    with pytest.raises(ParseError):
-        parse_scalar("2 **")
+    # '²' is a digit to str.isdigit but not to int()
+    for text in ["2 **", "²", "1/²", "sqrt(²)"]:
+        with pytest.raises(ParseError):
+            parse_scalar(text)
 
 
 def test_format_round_trip_random():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,9 @@ from valflag import (
     parse_poly,
     parse_term,
 )
+from valflag.tropical import _read_terms
+
+from _oracles import ref_parse_poly, ref_parse_term
 
 
 def test_parse_term_example():
@@ -183,3 +187,175 @@ def test_dimension_checks():
         parse_poly("x", ["x"]) + parse_poly("x", ["x", "y"])
     with pytest.raises(DimensionError):
         parse_poly("x", ["x"]).eval_at([Scalar.rational(0)] * 2)
+
+
+@pytest.mark.parametrize(
+    "read, text, column",
+    [
+        (parse_term, "x*", 3),
+        (parse_term, "t^1/0*x", 5),
+        (parse_term, "x^", 3),
+        (parse_term, "t^1/2*x^-y", 10),
+        (parse_term, "x + t^1*x", 3),
+        (parse_poly, "x + t^1*q", 9),
+        (parse_poly, "x*y\n  + t^", 7),
+    ],
+)
+def test_term_error_points_at_offending_character(read, text, column):
+    with pytest.raises(ParseError) as info:
+        read(text, ["x", "y"])
+    error = info.value
+    start = error.text.rfind("\n", 0, error.pos) + 1
+    assert error.pos - start + 1 == column
+    assert f"column {column})" in str(error)
+
+
+def test_parse_term_refuses_several_written_terms():
+    # the sum merges into one term, but a term argument is one term
+    assert parse_poly("x + t^1*x", ["x"]) == parse_poly("t^1*x", ["x"])
+    for text in ["x + t^1*x", "x + x", "x + y^"]:
+        with pytest.raises(ParseError, match="single term"):
+            parse_term(text, ["x", "y"])
+    with pytest.raises(ParseError):
+        parse_term("0", ["x"])
+
+
+def test_signed_exponents_read_as_in_the_scalar_grammar():
+    assert parse_term("t^+1*x^- 2", ["x"]) == ExponentVector(1, (-2,))
+    assert parse_term("t ^ - 1 / 2 * y ^ +3", ["x", "y"]) == ExponentVector(
+        Fraction(-1, 2), (0, 3)
+    )
+    # names are matched longest first
+    names = ["x", "x1", "theta"]
+    assert parse_term("x1^2*theta*t^1*x", names) == ExponentVector(1, (1, 2, 1))
+
+
+def test_ambiguous_variable_names_are_refused():
+    for names in [["x", "x"], ["t", "y"], ["x", ""], ["x y"], ["2"]]:
+        for read in (parse_poly, parse_term):
+            with pytest.raises(ParseError, match="variable name"):
+                read("x", names)
+        with pytest.raises(ParseError, match="variable name"):
+            parse_poly("0", names)
+
+
+def test_float_coefficient_and_inexact_variable_count_are_refused():
+    with pytest.raises(DomainError):
+        TropPolynomial.term(0.1, (1,))
+    assert TropPolynomial.term(Fraction(1, 10), (1,)).items() == [
+        ((1,), Fraction(1, 10))
+    ]
+    for n in [2.7, True, -1, "2"]:
+        with pytest.raises(DomainError):
+            TropPolynomial(n, {})
+
+
+# -- the cursor reader against the split oracle ------------------------------
+
+NAMES = ["x", "y", "x1", "theta"]
+_SPACES = ["", "", "", " ", "  ", "\t"]
+_JUNK = "+-*^/_ t x 0 1 2 ² ٣ q"
+# spellings the split reader took and the scalar grammar refuses: an empty
+# exponent (x^), digit-group underscores (x^1_0), a signed denominator (t^1/-2)
+_OLD_ONLY = re.compile(r"\^\s*(?:[*+]|$)|\d_\d|/\s*-\d")
+
+
+def _sp(rng):
+    return rng.choice(_SPACES)
+
+
+def _number(rng, fraction):
+    text = rng.choice(["", "", "-", "-", "+"]) + rng.choice(["", "", "", " "])
+    text += str(rng.randint(0, 12)) + rng.choice([""] * 30 + ["_0"])
+    if fraction and rng.random() < 0.4:
+        sign = rng.choice([""] * 12 + ["-", "+"])
+        text += _sp(rng) + "/" + _sp(rng) + sign + str(rng.randint(0, 4))
+    return text
+
+
+def _factor(rng):
+    if rng.random() < 0.4:
+        return "t" + _sp(rng) + "^" + _sp(rng) + _number(rng, True)
+    name = rng.choice(NAMES)
+    r = rng.random()
+    if r < 0.4:
+        return name
+    if r < 0.45:
+        return name + _sp(rng) + "^"
+    return name + _sp(rng) + "^" + _sp(rng) + _number(rng, False)
+
+
+def _joined(rng, sep, parts):
+    text = parts[0]
+    for part in parts[1:]:
+        text += _sp(rng) + sep + _sp(rng) + part
+    return text
+
+
+def _random_text(rng):
+    """Terms with whitespace, signs, fractions, repeated factors and junk."""
+    if rng.random() < 0.02:
+        return rng.choice(["0", " 0 "])
+    terms = [
+        _joined(rng, "*", [_factor(rng) for _ in range(rng.randint(1, 3))])
+        for _ in range(rng.choice([1, 1, 1, 2, 3]))
+    ]
+    if rng.random() < 0.1:
+        # the same monomial again, which merges into one term
+        terms.append(f"t^{rng.randint(-2, 2)}*{terms[0]}")
+    text = _sp(rng) + _joined(rng, "+", terms) + _sp(rng)
+    for _ in range(rng.choice([0, 0, 0, 1, 2])):
+        i = rng.randint(0, len(text))
+        if rng.random() < 0.5:
+            text = text[:i] + rng.choice(_JUNK) + text[i:]
+        else:
+            text = text[:i] + text[i + 1 :]
+    return text
+
+
+def _unsigned(text):
+    """The split reader's spelling of signed exponents: no '+' sign and no
+    space after a sign."""
+    return re.sub(
+        r"\^(\s*)([+-])\s*",
+        lambda m: "^" + m.group(1) + ("-" if m.group(2) == "-" else ""),
+        text,
+    )
+
+
+def _accepted(read, text):
+    try:
+        return read(text, NAMES)
+    except ParseError:
+        return None
+
+
+def test_reader_agrees_with_split_oracle():
+    """Wherever both readers accept a text they return the same answer;
+    every other text falls into a listed class."""
+    rng = random.Random(1913)
+    seen = {"agree": 0, "several terms": 0, "signed exponent": 0, "old only": 0}
+    for _ in range(3000):
+        text = _random_text(rng)
+        for read, ref in ((parse_poly, ref_parse_poly), (parse_term, ref_parse_term)):
+            new, old = _accepted(read, text), _accepted(ref, text)
+            if new is not None and old is not None:
+                assert new == old, text
+                seen["agree"] += 1
+            elif new is not None:
+                # a '+' sign or a space after a sign in an exponent
+                assert _unsigned(text) != text, text
+                assert ref(_unsigned(text), NAMES) == new, text
+                seen["signed exponent"] += 1
+            elif old is not None:
+                poly = _accepted(parse_poly, text)
+                if read is parse_term and poly is not None:
+                    assert len(_read_terms(text, NAMES)) > 1, text
+                    assert TropPolynomial.from_exponent(old) == poly, text
+                    seen["several terms"] += 1
+                else:
+                    assert _OLD_ONLY.search(text), text
+                    seen["old only"] += 1
+    assert seen["agree"] >= 500, seen
+    assert seen["several terms"] >= 20, seen
+    assert seen["signed exponent"] >= 20, seen
