@@ -6,14 +6,15 @@ point, for ``GammaPolyhedron.sample`` and the counterexamples and
 certificates of ``filters.farkas_certify``; ``is_neighborhood``,
 ``in_cone``, ``GammaPolyhedron.is_empty`` and the empty-intersection check
 of ``farkas_certify`` read only the answer and skip back-substitution.
-Every row under elimination carries two bitmasks over the input rows: a
-label, which drops redundant combinations by Chernikov's rule, and the
-support of its
-multipliers, from which one elimination reads the implicit equalities that
-give a polyhedron's dimension.  On top of that sit Γ-rational polyhedra
-(integer normals, rational right-hand sides), finite unions of them,
-rational sets of tropical polynomials, and the simplicial flags read off
-defining matrices, with the neighborhood test that drives filter
+Rows under elimination are scaled so that the last nonzero entry of each
+normal, the one it is eliminated on, is 1 or -1; two rows then combine by
+addition.  Each row carries two bitmasks over the input rows: a label,
+which drops redundant combinations by Chernikov's rule, and the support of
+its multipliers, from which one elimination reads the implicit equalities
+that give a polyhedron's dimension.  On top of that sit Γ-rational
+polyhedra (integer normals, rational right-hand sides), finite unions of
+them, rational sets of tropical polynomials, and the simplicial flags read
+off defining matrices, with the neighborhood test that drives filter
 membership.
 """
 
@@ -26,7 +27,7 @@ from typing import Optional, Sequence
 from .errors import DimensionError, DomainError
 from .prime import DefiningMatrix, EqualityVerdict, Prime, canonicalize, classify, decide_equal, CONT
 from .linalg import field_rank
-from .scalars import ONE, Scalar, ScalarLike, ZERO, dot, simplest_between
+from .scalars import ONE, Scalar, ScalarLike, ZERO, dot, exact_rational, simplest_between
 from .tropical import TropPolynomial
 
 Row = tuple[tuple[Scalar, ...], Scalar, bool]
@@ -64,10 +65,11 @@ _MaskedRow = tuple[tuple[Scalar, ...], Scalar, bool, int, int]
 
 def _normalize_row(row: _MaskedRow) -> _MaskedRow:
     coeffs, rhs, strict, label, support = row
-    lead = next((x for x in coeffs if x), None)
-    if lead is None:
+    pivot = next((x for x in reversed(coeffs) if x), ONE)
+    size = pivot if pivot.sign() > 0 else -pivot
+    if size == ONE:
         return row
-    inv = ONE / (lead if lead.sign() > 0 else -lead)
+    inv = ONE / size
     return (
         tuple(x * inv for x in coeffs),
         rhs * inv,
@@ -78,9 +80,9 @@ def _normalize_row(row: _MaskedRow) -> _MaskedRow:
 
 
 def _dedup(rows: list[_MaskedRow]) -> list[_MaskedRow]:
-    """One row per normal (rows come normalized): the tightest, labelled
-    with the intersection of the merged labels; its support is the union
-    over exact ties."""
+    """One row per normal (rows come with last nonzero entry ±1: one key
+    per ray): the tightest, labelled with the intersection of the merged
+    labels; its support is the union over exact ties."""
     best: dict[tuple[Scalar, ...], tuple[Scalar, bool, int, int]] = {}
     for coeffs, rhs, strict, label, support in rows:
         seen = best.get(coeffs)
@@ -105,8 +107,11 @@ def _eliminate(
     """Fourier-Motzkin elimination of every variable, last to first.
 
     Returns the final rows (all with zero normal) and, per variable k, the
-    rows with positive and negative coefficient on x_k when it was
-    eliminated.  A combination of two rows is strict when either parent is.
+    rows with coefficient 1 and -1 on x_k when it was eliminated.  Rows at
+    level k are zero beyond x_k, so a positive and a negative one combine
+    as their sum, strict when either parent is.  Another positive scaling
+    would keep every answer: rows on one ray share a scale in _dedup, and
+    zero normals are read only through the signs of their right-hand sides.
 
     Each row carries two masks over the input rows.  Its support is the
     set of input rows with a positive multiplier in it: the union of its
@@ -142,28 +147,22 @@ def _eliminate(
     levels: list[tuple[list[_MaskedRow], list[_MaskedRow]]] = [([], [])] * d
     for k in range(d - 1, -1, -1):
         max_bits = d - k + 1
-        zero: list[_MaskedRow] = []
-        pos: list[_MaskedRow] = []
-        neg: list[_MaskedRow] = []
+        # rows with entry 0, 1 and -1 on x_k, indexed by that entry
+        parts: tuple[list[_MaskedRow], ...] = ([], [], [])
         for row in work:
-            s = row[0][k].sign()
-            if s == 0:
-                zero.append(row)
-            elif s > 0:
-                pos.append(row)
-            else:
-                neg.append(row)
+            parts[row[0][k].sign()].append(row)
+        zero, pos, neg = parts
         levels[k] = (pos, neg)
         combined = zero
+        tail = (ZERO,) * (d - k)
         for pc, pr, ps, pl, pm in pos:
             for nc, nr, ns, nl, nm in neg:
                 label = pl | nl
                 if label.bit_count() > max_bits:
                     continue
-                a, nb = pc[k], -nc[k]
-                coeffs = tuple(x * nb + y * a for x, y in zip(pc, nc))
+                coeffs = tuple(x + y for x, y in zip(pc[:k], nc)) + tail
                 combined.append(_normalize_row(
-                    (coeffs, pr * nb + nr * a, ps or ns, label, pm | nm)
+                    (coeffs, pr + nr, ps or ns, label, pm | nm)
                 ))
         work = _dedup(combined)
     return work, levels
@@ -189,8 +188,9 @@ def fm_feasible(
 
     Variables are eliminated by _eliminate, with Chernikov pruning.  On
     success the bounds collected at each level are back-substituted,
-    preferring simple rational values inside open intervals.  Callers
-    that need only the answer use _feasible, which skips the
+    preferring simple rational values inside open intervals: a row
+    ±x_k + <c, x> <= rhs bounds x_k by ±(rhs - <c, x>), with no division.
+    Callers that need only the answer use _feasible, which skips the
     back-substitution: is_neighborhood, in_cone, GammaPolyhedron.is_empty
     and the empty-intersection check of filters.farkas_certify.
     """
@@ -203,13 +203,13 @@ def fm_feasible(
         upper: Optional[tuple[Scalar, bool]] = None
         lower: Optional[tuple[Scalar, bool]] = None
         for coeffs, rhs, strict, _, _ in pos:
-            bound = (rhs - dot(point, coeffs[:k])) / coeffs[k]
+            bound = rhs - dot(point, coeffs[:k])
             if upper is None or (bound - upper[0]).sign() < 0 or (
                 bound == upper[0] and strict and not upper[1]
             ):
                 upper = (bound, strict)
         for coeffs, rhs, strict, _, _ in neg:
-            bound = (rhs - dot(point, coeffs[:k])) / coeffs[k]
+            bound = dot(point, coeffs[:k]) - rhs
             if lower is None or (bound - lower[0]).sign() > 0 or (
                 bound == lower[0] and strict and not lower[1]
             ):
@@ -267,15 +267,13 @@ class GammaPolyhedron:
                 isinstance(x, int) and not isinstance(x, bool) for x in u
             ):
                 raise DomainError("normals must be integral")
-            if isinstance(gamma, float):
-                raise DomainError("right-hand sides must be exact rationals")
-            clean.append((u, Fraction(gamma)))
+            clean.append((u, exact_rational(gamma, "right-hand side")))
         self.rows: tuple[tuple[tuple[int, ...], Fraction], ...] = tuple(clean)
 
     def system(self) -> IneqSystem:
         s = IneqSystem(self.n)
         for u, gamma in self.rows:
-            s.add(u, Fraction(gamma))
+            s.add(u, gamma)
         return s
 
     def contains(self, point: Sequence[ScalarLike]) -> bool:

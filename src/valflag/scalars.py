@@ -35,7 +35,7 @@ import os
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import CapacityError, ParseError
+from .errors import CapacityError, DomainError, ParseError
 
 RationalLike = Union[int, Fraction]
 ScalarLike = Union["Scalar", int, Fraction, str]
@@ -417,6 +417,14 @@ def _smallest_prime_factor(n: int) -> int:
             return p
         p += 2
     return n
+
+
+def exact_rational(q: RationalLike, what: str) -> Fraction:
+    """q as a Fraction.  Only an int (not a bool) or a Fraction is read: a
+    float, bool or string raises DomainError instead of being converted."""
+    if isinstance(q, bool) or not isinstance(q, (int, Fraction)):
+        raise DomainError(f"{what} must be an int or a Fraction, got {q!r}")
+    return Fraction(q)
 
 
 def dot(xs: Sequence[Scalar], coeffs: Sequence[ScalarLike]) -> Scalar:

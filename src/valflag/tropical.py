@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionError, DomainError, ParseError
-from .scalars import ONE, RationalLike, Scalar, _Cursor, _parse_int, _parse_rational, dot
+from .scalars import ONE, RationalLike, Scalar, _Cursor, _parse_int, _parse_rational, dot, exact_rational
 
 NEG_INF = float("-inf")
 
@@ -33,13 +33,6 @@ def _exponent_tuple(u: Iterable[int]) -> tuple[int, ...]:
     return tuple(int(e) for e in u)
 
 
-def _coefficient(gamma: RationalLike) -> Fraction:
-    """gamma as a Fraction; a float is rejected, not read as its binary value."""
-    if isinstance(gamma, float):
-        raise DomainError(f"coefficient exponent {gamma!r} is a float")
-    return Fraction(gamma)
-
-
 @dataclass(frozen=True)
 class ExponentVector:
     """(gamma, u): the coefficient exponent and the monomial exponents of a
@@ -49,7 +42,9 @@ class ExponentVector:
     u: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", _coefficient(self.gamma))
+        object.__setattr__(
+            self, "gamma", exact_rational(self.gamma, "coefficient exponent")
+        )
         object.__setattr__(self, "u", _exponent_tuple(self.u))
 
     @property
@@ -99,7 +94,7 @@ class TropPolynomial:
                 raise DimensionError(
                     f"exponent {u} has length {len(u)}, expected {self.n}"
                 )
-            gamma = _coefficient(gamma)
+            gamma = exact_rational(gamma, "coefficient exponent")
             prev = clean.get(u)
             if prev is None or gamma > prev:
                 clean[u] = gamma

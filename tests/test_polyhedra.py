@@ -27,8 +27,8 @@ from valflag import (
     relative_interior_matrix,
     simplicialize,
 )
-from valflag.polyhedra import _feasible
-from valflag.scalars import ZERO, dot
+from valflag.polyhedra import _eliminate, _feasible
+from valflag.scalars import ONE, ZERO, dot
 
 from _oracles import (
     naive_feasible,
@@ -116,6 +116,39 @@ def test_fm_matches_naive_oracle():
                 assert slack > 0 or (slack == 0 and not strict)
 
 
+def _random_rows(rng, d, irrational, entry, max_rows):
+    """Between d + 1 and max_rows rows with normal entries from entry and
+    random right-hand sides, irrational ones only when irrational is set."""
+    return [
+        (
+            tuple(entry(irrational) for _ in range(d)),
+            random_scalar(rng, irrational_p=0.3 if irrational else 0),
+            rng.random() < 0.4,
+        )
+        for _ in range(rng.randint(d + 1, max_rows))
+    ]
+
+
+def _feasible_against_unpruned_oracle(rng, entry, systems, max_d, max_rows):
+    """fm_feasible on seeded systems in 2..max_d variables, alternately
+    rational and irrational, against the unpruned oracle and _feasible;
+    returns how many were feasible."""
+    feasible_count = 0
+    for i in range(systems):
+        d = rng.randint(2, max_d)
+        rows = _random_rows(rng, d, i % 2 == 1, entry, min(max_rows, 48 // d))
+        system = IneqSystem(d, rows)
+        feasible, point = fm_feasible(system)
+        assert (feasible, point) == ref_fm_feasible(d, rows)
+        assert _feasible(system) == feasible
+        if feasible:
+            feasible_count += 1
+            for coeffs, rhs, strict in rows:
+                slack = (rhs - dot(point, coeffs)).sign()
+                assert slack > 0 or (slack == 0 and not strict)
+    return feasible_count
+
+
 def test_fm_matches_unpruned_oracle():
     # Up to 12 rows in up to five variables, entries in {-1, 0, 1} and
     # some irrational ones: enough rows per variable that Chernikov's rule
@@ -131,28 +164,58 @@ def test_fm_matches_unpruned_oracle():
             return random_scalar(rng, irrational_p=1.0)
         return Scalar.rational(rng.randint(-1, 1))
 
-    feasible_count = 0
-    for i in range(150):
-        irrational = i % 2 == 1
-        d = rng.randint(2, 5)
-        rows = [
-            (
-                tuple(entry(irrational) for _ in range(d)),
-                random_scalar(rng, irrational_p=0.3 if irrational else 0),
-                rng.random() < 0.4,
-            )
-            for _ in range(rng.randint(d + 1, min(12, 48 // d)))
-        ]
-        system = IneqSystem(d, rows)
-        feasible, point = fm_feasible(system)
-        assert (feasible, point) == ref_fm_feasible(d, rows)
-        assert _feasible(system) == feasible
-        if feasible:
-            feasible_count += 1
-            for coeffs, rhs, strict in rows:
-                slack = (rhs - dot(point, coeffs)).sign()
-                assert slack > 0 or (slack == 0 and not strict)
-    assert 30 <= feasible_count <= 120
+    assert 30 <= _feasible_against_unpruned_oracle(rng, entry, 150, 5, 12) <= 120
+
+
+def test_fm_off_unit_entries_match_unpruned_oracle():
+    # Entries such as ±2, ±3/2, ±1/3 and irrational ones, so that almost
+    # every row is scaled before its pivot is 1 or -1, on the input and
+    # after each combination; the oracle scales no row that way and
+    # divides in back-substitution.  Such rows seldom share a normal, so
+    # the unpruned oracle keeps many more rows than with entries in
+    # {-1, 0, 1}: at most four variables and nine rows.
+    rng = random.Random(31)
+    values = [Fraction(v) for v in (2, -2, 3, -3)] + [
+        Fraction(3, 2), Fraction(-3, 2), Fraction(1, 3), Fraction(-1, 3),
+    ]
+
+    def entry(irrational):
+        r = rng.random()
+        if r < 0.2:
+            return ZERO
+        if irrational and r < 0.45:
+            return random_scalar(rng, irrational_p=1.0)
+        return Scalar.rational(rng.choice(values))
+
+    assert 30 <= _feasible_against_unpruned_oracle(rng, entry, 160, 4, 9) <= 130
+
+
+def test_fm_rows_have_unit_pivots():
+    # Combining two rows by addition is right only because each row at
+    # level k is 1 or -1 on x_k and zero beyond it.
+    rng = random.Random(47)
+
+    def entry(irrational):
+        r = rng.random()
+        if r < 0.25:
+            return ZERO
+        if irrational and r < 0.45:
+            return random_scalar(rng, irrational_p=1.0)
+        return Scalar.rational(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+
+    checked = 0
+    for i in range(120):
+        d = rng.randint(1, 5)
+        rows = _random_rows(rng, d, i % 2 == 1, entry, min(12, 48 // d))
+        final, levels = _eliminate(IneqSystem(d, rows))
+        for k, (pos, neg) in enumerate(levels):
+            for side, unit in ((pos, ONE), (neg, -ONE)):
+                for coeffs, _, _, _, _ in side:
+                    assert coeffs[k] == unit
+                    assert all(x == ZERO for x in coeffs[k + 1:])
+                    checked += 1
+        assert all(not any(coeffs) for coeffs, _, _, _, _ in final)
+    assert checked >= 1000
 
 
 def test_ineq_system_rejects_bad_rows():
@@ -177,6 +240,11 @@ def test_polyhedron_validation():
         GammaPolyhedron(2, [((True, 0), 1)])
     with pytest.raises(DomainError):
         GammaPolyhedron(1, [((1,), 0.1)])
+    # a right-hand side is an int or a Fraction, never a bool or a string
+    for gamma in [True, False, "1/2", "1e3", "0", None]:
+        with pytest.raises(DomainError):
+            GammaPolyhedron(1, [((1,), gamma)])
+    assert GammaPolyhedron(1, [((1,), 2)]).rows == (((1,), Fraction(2)),)
     with pytest.raises(DimensionError):
         GammaPolyhedron(2, [((1,), Fraction(0))])
     with pytest.raises(DimensionError):

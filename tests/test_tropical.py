@@ -171,10 +171,15 @@ def test_inexact_exponents_are_rejected_not_truncated():
             ExponentVector(0, u)
         with pytest.raises(DomainError):
             TropPolynomial(2, {u: 1})
-    with pytest.raises(DomainError):
-        ExponentVector(0.5, (1, 0))
-    with pytest.raises(DomainError):
-        TropPolynomial(2, {(1, 0): 0.1})
+    # a coefficient exponent is an int or a Fraction: neither a float nor
+    # True (as 1) nor a string (as the number it spells) is read
+    for gamma in [0.5, 0.1, True, False, "1/2", "1e3", None]:
+        with pytest.raises(DomainError):
+            ExponentVector(gamma, (1, 0))
+        with pytest.raises(DomainError):
+            TropPolynomial(2, {(1, 0): gamma})
+        with pytest.raises(DomainError):
+            TropPolynomial.term(gamma, (1, 0))
     # exact input is kept as given
     assert ExponentVector(Fraction(1, 3), (2, -1)).u == (2, -1)
     assert str(TropPolynomial(2, {(1, 0): Fraction(1, 2)})) == "t^1/2*x"
