@@ -26,9 +26,11 @@ from .tropical import check_names, format_exponent, parse_poly, parse_term
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e.strerror}")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 (byte {e.start}: {e.reason})")
 
 
 def _load_json(path: str) -> object:
@@ -37,6 +39,14 @@ def _load_json(path: str) -> object:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: {e.msg}", text, e.pos)
+
+
+def _read_at(where: str, read, value):
+    """read(value); a ParseError is prefixed with where value is in a file."""
+    try:
+        return read(value)
+    except ParseError as e:
+        raise ParseError(f"{where}: {e}") from None
 
 
 def load_matrix(path: str) -> tuple[list[str], Prime]:
@@ -50,44 +60,45 @@ def load_matrix(path: str) -> tuple[list[str], Prime]:
         or not isinstance(data.get("rows"), list)
     ):
         raise ParseError(f'{path}: expected {{"vars": [...], "rows": [...]}}')
-    try:
-        names = check_names(data["vars"])
-    except ParseError as e:
-        raise ParseError(f"{path}: {e}") from None
+    names = _read_at(path, check_names, data["vars"])
     n = len(names)
     rows = []
-    for row in data["rows"]:
+    for i, row in enumerate(data["rows"], 1):
         if not isinstance(row, list) or len(row) != n + 1:
             raise ParseError(
                 f"{path}: each row needs {n + 1} entries "
                 "(coefficient column first)"
             )
-        rows.append([parse_scalar(str(x)) for x in row])
+        rows.append([
+            _read_at(f"{path}: row {i}, entry {j}", parse_scalar, str(x))
+            for j, x in enumerate(row, 1)
+        ])
     return names, prime.canonicalize(DefiningMatrix(rows, n=n))
 
 
 def _polyhedron_from_data(data: object, n: int, path: str) -> GammaPolyhedron:
+    """One polyhedron of the file path; path also names the piece when the
+    file holds several."""
     if not isinstance(data, dict) or not isinstance(data.get("ineqs"), list):
         raise ParseError(f'{path}: expected {{"ineqs": [...]}}')
     rows = []
-    for item in data["ineqs"]:
+    for i, item in enumerate(data["ineqs"], 1):
+        where = f"{path}: inequality {i}"
         if (
             not isinstance(item, dict)
             or not isinstance(item.get("u"), list)
             or "gamma" not in item
         ):
-            raise ParseError(
-                f'{path}: each inequality needs "u" and "gamma"'
-            )
+            raise ParseError(f'{where} needs "u" and "gamma"')
         u = item["u"]
         if not all(type(x) is int for x in u):
             raise ParseError(
-                f"{path}: normals must be JSON integers, got {json.dumps(u)}"
+                f"{where}: normals must be JSON integers, got {json.dumps(u)}"
             )
-        gamma = parse_scalar(str(item["gamma"]))
+        gamma = _read_at(f"{where}, gamma", parse_scalar, str(item["gamma"]))
         if not gamma.is_rational():
             raise ParseError(
-                f"{path}: right-hand sides must be rational, got {item['gamma']}"
+                f"{where}: right-hand sides must be rational, got {item['gamma']}"
             )
         rows.append((u, gamma.as_rational()))
     return GammaPolyhedron(n, rows)
@@ -97,14 +108,15 @@ def load_polyset(path: str, n: int) -> GammaPolyhedralSet:
     """Polyhedral-set file {"pieces": [...]}; a bare polyhedron
     {"ineqs": [...]} is accepted as a single piece."""
     data = _load_json(path)
+    pieces = [data]
     if isinstance(data, dict) and "pieces" in data:
         pieces = data["pieces"]
         if not isinstance(pieces, list) or not pieces:
             raise ParseError(f'{path}: "pieces" must be a nonempty list')
-        return GammaPolyhedralSet(
-            [_polyhedron_from_data(p, n, path) for p in pieces]
-        )
-    return GammaPolyhedralSet([_polyhedron_from_data(data, n, path)])
+    return GammaPolyhedralSet([
+        _polyhedron_from_data(p, n, f"{path}: piece {k}" if len(pieces) > 1 else path)
+        for k, p in enumerate(pieces, 1)
+    ])
 
 
 def matrix_json(names: Sequence[str], matrix: DefiningMatrix) -> str:

@@ -1,5 +1,10 @@
 """Shared exception types.
 
+Every refusal of a caller's input by a public name is a ValflagError.  An
+exact value is an int that is not a bool, a Fraction, or, where a scalar
+is expected, a string of the scalar grammar; a float, a bool, None or any
+other value raises DomainError (scalars.exact_int and exact_rational).
+
 Exit-code mapping used by the CLI: ParseError -> 2, everything else
 derived from ValflagError -> 3.
 """
@@ -34,8 +39,8 @@ class DimensionError(ValflagError):
     """Operands have incompatible dimensions or variable counts."""
 
 
-class DomainError(ValflagError):
-    """A precondition or domain restriction is violated."""
+class DomainError(ValflagError, ValueError):
+    """A precondition is violated or a value is not exact; a ValueError too."""
 
 
 class CapacityError(ValflagError):

@@ -36,7 +36,7 @@ from .prime import (
     final_kernel,
     min_filter_dim,
 )
-from .scalars import Scalar, dot
+from .scalars import Scalar, dot, exact_int, exact_rational
 from .tropical import ExponentVector
 
 
@@ -63,12 +63,12 @@ class FarkasCertificate:
     b: Fraction
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be positive")
-        if any(x < 0 for x in self.m_l):
-            raise ValueError("m_l must be nonnegative")
-        if self.b < 0:
-            raise ValueError("b must be nonnegative")
+        if exact_int(self.m, "m") < 1:
+            raise DomainError("m must be positive")
+        if any(exact_int(x, "m_l entry") < 0 for x in self.m_l):
+            raise DomainError("m_l must be nonnegative")
+        if exact_rational(self.b, "b") < 0:
+            raise DomainError("b must be nonnegative")
 
     def holds_for(
         self, constraints: Sequence[ExponentVector], target: ExponentVector

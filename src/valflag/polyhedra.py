@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 from .errors import DimensionError, DomainError
 from .prime import DefiningMatrix, EqualityVerdict, Prime, canonicalize, classify, decide_equal, CONT
 from .linalg import field_rank
-from .scalars import ONE, Scalar, ScalarLike, ZERO, dot, exact_rational, simplest_between
+from .scalars import ONE, Scalar, ScalarLike, ZERO, dot, exact_int, exact_rational, simplest_between
 from .tropical import TropPolynomial
 
 Row = tuple[tuple[Scalar, ...], Scalar, bool]
@@ -39,7 +39,7 @@ class IneqSystem:
     __slots__ = ("d", "rows")
 
     def __init__(self, d: int, rows: Sequence[Row] = ()):
-        self.d = d
+        self.d = exact_int(d, "variable count")
         self.rows: list[Row] = []
         for normal, rhs, strict in rows:
             self.add(normal, rhs, strict)
@@ -55,6 +55,8 @@ class IneqSystem:
             raise DimensionError(
                 f"row of length {len(coeffs)} in a {self.d}-variable system"
             )
+        if strict is not True and strict is not False:
+            raise DomainError(f"strict must be a bool, got {strict!r}")
         self.rows.append((coeffs, Scalar.coerce(rhs), strict))
 
 
@@ -255,18 +257,14 @@ class GammaPolyhedron:
         n: int,
         rows: Sequence[tuple[Sequence[int], Fraction | int]] = (),
     ):
-        self.n = n
+        self.n = exact_int(n, "dimension")
         clean = []
         for u, gamma in rows:
-            u = tuple(u)
+            u = tuple([exact_int(x, "normal entry") for x in u])
             if len(u) != n:
                 raise DimensionError(
                     f"normal of length {len(u)} in dimension {n}"
                 )
-            if not all(
-                isinstance(x, int) and not isinstance(x, bool) for x in u
-            ):
-                raise DomainError("normals must be integral")
             clean.append((u, exact_rational(gamma, "right-hand side")))
         self.rows: tuple[tuple[tuple[int, ...], Fraction], ...] = tuple(clean)
 

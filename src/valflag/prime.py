@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from .errors import DimensionError, DomainError
 from .linalg import hermite_form, in_lattice, independent_rows, integer_kernel
-from .scalars import Scalar, ScalarLike, dot, rational_part_basis, simplest_between
+from .scalars import Scalar, ScalarLike, dot, exact_int, rational_part_basis, simplest_between
 from .tropical import NEG_INF, ExponentVector, TropPolynomial
 
 LESS, EQUAL, GREATER = "less", "equal", "greater"
@@ -68,7 +68,7 @@ class DefiningMatrix:
         else:
             if n is None:
                 raise DimensionError("empty matrix needs an explicit n")
-            self.n = n
+            self.n = exact_int(n, "variable count")
 
     def first_column_ok(self) -> bool:
         """First column lexicographically >= 0."""
@@ -268,13 +268,13 @@ class KernelSubgroup:
 
     def __post_init__(self):
         if self.kind not in ("product", "graph"):
-            raise ValueError(f"bad kernel kind {self.kind!r}")
+            raise DomainError(f"bad kernel kind {self.kind!r}")
         if (self.ell is not None) != (self.kind == "graph"):
-            raise ValueError("ell is stored exactly for graph kind")
+            raise DomainError("ell is stored exactly for graph kind")
         if self.ell is not None and len(self.ell) != len(self.lattice):
-            raise ValueError("one ell value per basis row")
+            raise DomainError("one ell value per basis row")
         if any(len(row) != self.n for row in self.lattice):
-            raise ValueError("lattice rows must have length n")
+            raise DomainError("lattice rows must have length n")
 
     @classmethod
     def full(cls, n: int) -> "KernelSubgroup":
@@ -310,15 +310,13 @@ class KernelSubgroup:
         """The member with the given basis coefficients; product kind takes
         an explicit gamma (default 0), graph kind computes it and refuses
         one."""
+        coeffs = [exact_int(a, "basis coefficient") for a in coeffs]
         if self.kind == "product":
             gamma = Fraction(0) if gamma is None else gamma
         elif gamma is not None:
-            raise ValueError("graph kind computes gamma; none may be passed")
+            raise DomainError("graph kind computes gamma; none may be passed")
         else:
-            gamma = sum(
-                (Fraction(a) * e for a, e in zip(coeffs, self.ell)),
-                Fraction(0),
-            )
+            gamma = sum((a * e for a, e in zip(coeffs, self.ell)), Fraction(0))
         u = [0] * self.n
         for a, row in zip(coeffs, self.lattice):
             for j, x in enumerate(row):
@@ -427,9 +425,9 @@ class EqualityVerdict:
 
     def __post_init__(self):
         if self.outcome not in ("Equal", "Distinguished"):
-            raise ValueError(f"bad outcome {self.outcome!r}")
+            raise DomainError(f"bad outcome {self.outcome!r}")
         if (self.witness is not None) != (self.outcome == "Distinguished"):
-            raise ValueError("witness is carried exactly by Distinguished")
+            raise DomainError("witness is carried exactly by Distinguished")
 
     @property
     def equal(self) -> bool:

@@ -93,15 +93,29 @@ def _union(a: "Scalar", b: "Scalar") -> int:
     return primes
 
 
+def exact_int(x: int, what: str) -> int:
+    """x as an int; DomainError unless it is an int other than a bool."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise DomainError(f"{what} must be an int, got {x!r}")
+    return int(x)
+
+
+def exact_rational(q: RationalLike, what: str) -> Fraction:
+    """q as a Fraction; DomainError unless it is a Fraction or an int other
+    than a bool."""
+    if isinstance(q, Fraction):
+        return q
+    if isinstance(q, bool) or not isinstance(q, int):
+        raise DomainError(f"{what} must be an int or a Fraction, got {q!r}")
+    return Fraction(q)
+
+
 def squarefree_split(n: int) -> tuple[int, int]:
-    """Write n = outer**2 * inner with inner squarefree; returns (outer, inner).
+    """Write n = outer**2 * inner with inner squarefree, for an int n >= 1;
+    returns (outer, inner).
 
     Trial division; radicands in this library stay small.
     """
-    if n < 0:
-        raise ValueError(f"radicand must be nonnegative, got {n}")
-    if n == 0:
-        return 0, 1
     outer, inner = 1, 1
     while n > 1:
         p = _smallest_prime_factor(n)
@@ -122,24 +136,21 @@ class Scalar:
     def __init__(self, terms: Mapping[int, RationalLike] | None = None):
         """Build from a map radicand -> coefficient.
 
-        Radicands need not be squarefree; they are reduced
-        (8 -> 2*sqrt(2)).  Zero coefficients are dropped.  A radicand must
-        be an int (not a bool) and a coefficient must not be a float, so
-        that every scalar is the exact value that was written.
+        Radicands need not be squarefree; they are reduced (8 -> 2*sqrt(2)),
+        and a term with a zero radicand or coefficient is dropped.  A radicand
+        is an exact_int >= 0 and a coefficient an exact_rational, so that
+        every scalar is the exact value that was written.
         """
         reduced: dict[int, Fraction] = {}
         if terms:
             for n, q in terms.items():
-                if not isinstance(n, int) or isinstance(n, bool):
-                    raise TypeError(f"radicand {n!r} is not an integer")
-                if isinstance(q, float):
-                    raise TypeError(f"coefficient {q!r} is a float")
-                q = Fraction(q)
-                if not q:
+                n = exact_int(n, "radicand")
+                if n < 0:
+                    raise DomainError(f"radicand must be nonnegative, got {n}")
+                q = exact_rational(q, "coefficient")
+                if not q or not n:
                     continue
                 outer, inner = squarefree_split(n)
-                if outer == 0:
-                    continue
                 coeff = q * outer
                 acc = reduced.get(inner, Fraction(0)) + coeff
                 if acc:
@@ -171,7 +182,7 @@ class Scalar:
     @classmethod
     def rational(cls, q: RationalLike) -> "Scalar":
         if not isinstance(q, Fraction):
-            q = Fraction(q)
+            q = exact_rational(q, "scalar")
         return cls._reduced({1: q} if q else {}, 0)
 
     @classmethod
@@ -180,15 +191,12 @@ class Scalar:
 
     @staticmethod
     def coerce(value: ScalarLike) -> "Scalar":
+        """value as a Scalar; a string is read by parse_scalar."""
         if isinstance(value, Scalar):
             return value
-        if isinstance(value, bool):
-            raise TypeError(f"cannot interpret the bool {value!r} as a scalar")
-        if isinstance(value, (int, Fraction)):
-            return Scalar.rational(value)
         if isinstance(value, str):
             return parse_scalar(value)
-        raise TypeError(f"cannot interpret {value!r} as a scalar")
+        return Scalar.rational(value)
 
     # -- structure ----------------------------------------------------
 
@@ -213,7 +221,7 @@ class Scalar:
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
-            raise ValueError(f"{self} is irrational")
+            raise DomainError(f"{self} is irrational")
         return self.rational_part()
 
     def __bool__(self) -> bool:
@@ -296,8 +304,6 @@ class Scalar:
     def _scale(self, q: RationalLike) -> "Scalar":
         if not q:
             return ZERO
-        if not isinstance(q, Fraction):
-            q = Fraction(q)
         return Scalar._reduced(
             {n: c * q for n, c in self._terms.items()}, self._primes
         )
@@ -348,7 +354,7 @@ class Scalar:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = Scalar.rational(other)
+            return self._terms == ({1: other} if other else {})
         if not isinstance(other, Scalar):
             return NotImplemented
         return self._terms == other._terms
@@ -419,14 +425,6 @@ def _smallest_prime_factor(n: int) -> int:
     return n
 
 
-def exact_rational(q: RationalLike, what: str) -> Fraction:
-    """q as a Fraction.  Only an int (not a bool) or a Fraction is read: a
-    float, bool or string raises DomainError instead of being converted."""
-    if isinstance(q, bool) or not isinstance(q, (int, Fraction)):
-        raise DomainError(f"{what} must be an int or a Fraction, got {q!r}")
-    return Fraction(q)
-
-
 def dot(xs: Sequence[Scalar], coeffs: Sequence[ScalarLike]) -> Scalar:
     """sum coeffs[i] * xs[i]; rational coefficients avoid full products."""
     acc = ZERO
@@ -460,7 +458,7 @@ def simplest_between(a: ScalarLike, b: ScalarLike) -> Fraction:
     a = Scalar.coerce(a)
     b = Scalar.coerce(b)
     if not a < b:
-        raise ValueError(f"empty interval ({a}, {b})")
+        raise DomainError(f"empty interval ({a}, {b})")
     return _simplest_positive(a, b)
 
 

@@ -14,23 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import DimensionError, DomainError, ParseError
-from .scalars import ONE, RationalLike, Scalar, _Cursor, _parse_int, _parse_rational, dot, exact_rational
+from .scalars import ONE, RationalLike, Scalar, _Cursor, _parse_int, _parse_rational, dot, exact_int, exact_rational
 
 NEG_INF = float("-inf")
-
-
-def _exponent_tuple(u: Iterable[int]) -> tuple[int, ...]:
-    """u as a tuple of ints; a bool or any other non-int exponent is
-    rejected instead of truncated."""
-    u = tuple(u)
-    if all(type(e) is int for e in u):
-        return u
-    if any(isinstance(e, bool) or not isinstance(e, int) for e in u):
-        raise DomainError(f"exponents must be integers, got {u!r}")
-    return tuple(int(e) for e in u)
 
 
 @dataclass(frozen=True)
@@ -45,7 +34,7 @@ class ExponentVector:
         object.__setattr__(
             self, "gamma", exact_rational(self.gamma, "coefficient exponent")
         )
-        object.__setattr__(self, "u", _exponent_tuple(self.u))
+        object.__setattr__(self, "u", tuple([exact_int(e, "exponent") for e in self.u]))
 
     @property
     def n(self) -> int:
@@ -66,6 +55,7 @@ class ExponentVector:
         )
 
     def scale(self, k: int) -> "ExponentVector":
+        k = exact_int(k, "scale factor")
         return ExponentVector(self.gamma * k, tuple(e * k for e in self.u))
 
     def _check(self, other: "ExponentVector") -> None:
@@ -83,13 +73,13 @@ class TropPolynomial:
     def __init__(self, n: int, terms: Mapping[tuple[int, ...], RationalLike] = ()):
         """Build from a map, or pairs, exponent -> coefficient exponent; a
         repeated exponent keeps its largest coefficient (tropical sum)."""
-        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-            raise DomainError(f"variable count must be an int >= 0, got {n!r}")
-        self.n = n
+        self.n = exact_int(n, "variable count")
+        if self.n < 0:
+            raise DomainError(f"variable count must be >= 0, got {n}")
         clean: dict[tuple[int, ...], Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for u, gamma in items:
-            u = _exponent_tuple(u)
+            u = tuple([exact_int(e, "exponent") for e in u])
             if len(u) != self.n:
                 raise DimensionError(
                     f"exponent {u} has length {len(u)}, expected {self.n}"
@@ -136,7 +126,7 @@ class TropPolynomial:
 
     def the_term(self) -> ExponentVector:
         if not self.is_term():
-            raise ValueError(f"{self} is not a single term")
+            raise DomainError(f"{self} is not a single term")
         ((u, gamma),) = self._terms.items()
         return ExponentVector(gamma, u)
 

@@ -271,12 +271,32 @@ def test_malformed_json(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_utf8_file(tmp_path, capsys):
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"vars": ["\xff"], "rows": []}')
+    assert cli.main(["canon", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert str(p) in err and "UTF-8" in err
+
+
 def test_bad_scalar_string(tmp_path, capsys):
-    # '²' is a digit to str.isdigit but not to int()
-    for entry in ["bogus", "²"]:
+    # '²' is a digit to str.isdigit but not to int(); 1.5 is a JSON number
+    for entry in ["bogus", "²", 1.5]:
         m = jfile(tmp_path, "m.json", {"vars": ["x"], "rows": [["1", entry]]})
         assert cli.main(["canon", m]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert f"error: {m}: row 1, entry 2: " in capsys.readouterr().err
+
+
+def test_bad_gamma_names_file_piece_and_inequality(tmp_path, capsys):
+    m = jfile(tmp_path, "m.json", WHALE)
+    bad = {"u": [1, 0], "gamma": 1.5}
+    for polyset, where in [
+        ({"ineqs": [bad]}, "inequality 1"),
+        ({"pieces": [BOX, {"ineqs": [BOX["ineqs"][0], bad]}]}, "piece 2: inequality 2"),
+    ]:
+        u = jfile(tmp_path, "u.json", polyset)
+        assert cli.main(["member", m, u]) == 2
+        assert f"error: {u}: {where}, gamma: " in capsys.readouterr().err
 
 
 def test_row_length_mismatch(tmp_path, capsys):

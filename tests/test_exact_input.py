@@ -1,0 +1,127 @@
+"""Every public name that reads an exact value refuses an inexact one with a
+ValflagError: a bool, a float, None, and a string wherever the scalar
+grammar does not read one (where it does, "1.5" is a ParseError)."""
+
+from fractions import Fraction
+
+import pytest
+
+from valflag import (
+    DefiningMatrix,
+    DomainError,
+    EqualityVerdict,
+    ExponentVector,
+    FarkasCertificate,
+    GammaPolyhedron,
+    IneqSystem,
+    KernelSubgroup,
+    Scalar,
+    TropPolynomial,
+    ValflagError,
+    in_cone,
+    simplest_between,
+)
+from valflag.scalars import ONE, exact_int, exact_rational
+
+BAD = (True, 1.5, None, "1.5")
+
+READERS = {
+    "Scalar radicand": lambda v: Scalar({v: 1}),
+    "Scalar coefficient": lambda v: Scalar({2: v}),
+    "Scalar.rational": Scalar.rational,
+    "Scalar.sqrt": Scalar.sqrt,
+    "Scalar.coerce": Scalar.coerce,
+    "add": lambda v: ONE + v,
+    "radd": lambda v: v + ONE,
+    "sub": lambda v: ONE - v,
+    "rsub": lambda v: v - ONE,
+    "mul": lambda v: ONE * v,
+    "truediv": lambda v: ONE / v,
+    "rtruediv": lambda v: v / ONE,
+    "lt": lambda v: ONE < v,
+    "le": lambda v: ONE <= v,
+    "gt": lambda v: ONE > v,
+    "ge": lambda v: ONE >= v,
+    "reflected lt": lambda v: v < ONE,
+    "DefiningMatrix entry": lambda v: DefiningMatrix([[1, v]]),
+    "DefiningMatrix n": lambda v: DefiningMatrix([], n=v),
+    "IneqSystem d": lambda v: IneqSystem(v),
+    "IneqSystem.add normal": lambda v: IneqSystem(1).add([v], 0),
+    "IneqSystem.add rhs": lambda v: IneqSystem(1).add([1], v),
+    "in_cone vector": lambda v: in_cone([v], [[1]]),
+    "in_cone generator": lambda v: in_cone([1], [[v]]),
+    "GammaPolyhedron n": lambda v: GammaPolyhedron(v),
+    "GammaPolyhedron normal": lambda v: GammaPolyhedron(1, [((v,), 0)]),
+    "GammaPolyhedron rhs": lambda v: GammaPolyhedron(1, [((1,), v)]),
+    "GammaPolyhedron.contains": lambda v: GammaPolyhedron(1).contains([v]),
+    "ExponentVector gamma": lambda v: ExponentVector(v, (1,)),
+    "ExponentVector exponent": lambda v: ExponentVector(0, (v,)),
+    "ExponentVector.scale": lambda v: ExponentVector(0, (1,)).scale(v),
+    "TropPolynomial n": lambda v: TropPolynomial(v),
+    "TropPolynomial exponent": lambda v: TropPolynomial(1, {(v,): 0}),
+    "TropPolynomial coefficient": lambda v: TropPolynomial(1, {(1,): v}),
+    "KernelSubgroup.member coefficient": lambda v: KernelSubgroup.full(1).member([v]),
+    "FarkasCertificate m": lambda v: FarkasCertificate(v, (), Fraction(0)),
+    "FarkasCertificate m_l": lambda v: FarkasCertificate(1, (v,), Fraction(0)),
+    "FarkasCertificate b": lambda v: FarkasCertificate(1, (), v),
+    "simplest_between low": lambda v: simplest_between(v, 2),
+    "simplest_between high": lambda v: simplest_between(0, v),
+}
+
+# readers for which one of BAD is a valid value: None is the default gamma
+# of a product-kind member, and True a strict flag
+OTHER_BAD = {
+    "KernelSubgroup.member gamma": (
+        lambda v: KernelSubgroup.full(1).member([1], v),
+        (True, 1.5, "1.5"),
+    ),
+    "IneqSystem.add strict": (
+        lambda v: IneqSystem(1).add([1], 0, strict=v),
+        (1, 1.5, None, "no"),
+    ),
+}
+
+CASES = [
+    pytest.param(read, value, id=f"{name}-{value!r}")
+    for name, read in READERS.items()
+    for value in BAD
+] + [
+    pytest.param(read, value, id=f"{name}-{value!r}")
+    for name, (read, values) in OTHER_BAD.items()
+    for value in values
+]
+
+
+@pytest.mark.parametrize("read, value", CASES)
+def test_inexact_value_is_refused_with_a_valflag_error(read, value):
+    with pytest.raises(ValflagError):
+        read(value)
+
+
+def test_readers_keep_exact_values():
+    assert exact_int(-3, "x") == -3
+    assert exact_rational(2, "x") == Fraction(2)
+    assert exact_rational(Fraction(1, 3), "x") == Fraction(1, 3)
+    for value in (True, 1.5, None, "1", Fraction(1)):
+        with pytest.raises(DomainError):
+            exact_int(value, "x")
+    # equality is no reader: it answers, also for a bool
+    assert Scalar.rational(1) == True and Scalar.sqrt(2) != 1.5  # noqa: E712
+    IneqSystem(1).add([1], 0, strict=True)
+
+
+def test_refusals_of_caller_input_are_domain_errors():
+    # also ValueErrors, for callers that catch those
+    for refuse in (
+        lambda: Scalar.sqrt(-3),
+        lambda: Scalar.sqrt(2).as_rational(),
+        lambda: simplest_between(1, 1),
+        lambda: TropPolynomial(1).the_term(),
+        lambda: TropPolynomial(-1),
+        lambda: KernelSubgroup("other", 1, ((1,),)),
+        lambda: EqualityVerdict("Equal", ExponentVector(0, (1,))),
+        lambda: FarkasCertificate(0, (), Fraction(0)),
+    ):
+        with pytest.raises(DomainError) as info:
+            refuse()
+        assert isinstance(info.value, ValueError)

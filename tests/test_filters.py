@@ -189,11 +189,11 @@ def test_farkas_dimension_check():
 
 
 def test_certificate_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         FarkasCertificate(0, (), Fraction(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         FarkasCertificate(1, (-1,), Fraction(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         FarkasCertificate(1, (1,), Fraction(-1))
     cert = FarkasCertificate(1, (2,), Fraction(1))
     assert not cert.holds_for([ev("t^0*x")], ev("t^0*x"))

@@ -7,6 +7,7 @@ import pytest
 from valflag import (
     CapacityError,
     DefiningMatrix,
+    DomainError,
     ParseError,
     Scalar,
     format_scalar,
@@ -263,19 +264,19 @@ def test_arithmetic_agrees_with_reducing_oracle():
 
 def test_inexact_scalar_input_is_rejected():
     for terms in [{2.5: 1}, {True: 1}, {"2": 1}, {1: 0.1}, {2: 0.5}]:
-        with pytest.raises(TypeError):
+        with pytest.raises(DomainError):
             Scalar(terms)
     for value in (0.1, True, False):
-        with pytest.raises(TypeError):
+        with pytest.raises(DomainError):
             Scalar.coerce(value)
-    with pytest.raises(TypeError):
+    with pytest.raises(DomainError):
         DefiningMatrix([[True, False, 1]])
     assert Scalar({8: Fraction(1, 2), 1: 3}) == Scalar.sqrt(2) + 3
 
 
 def test_as_rational():
     assert Scalar.rational(Fraction(3, 4)).as_rational() == Fraction(3, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         Scalar.sqrt(2).as_rational()
 
 
