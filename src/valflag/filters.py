@@ -21,9 +21,12 @@ from .polyhedra import (
     GammaPolyhedralSet,
     GammaPolyhedron,
     IneqSystem,
+    _back_substitute,
+    _consistent,
+    _eliminate,
     _feasible,
+    _weights,
     flag_from_matrix,
-    fm_feasible,
     is_neighborhood,
 )
 from .prime import (
@@ -63,10 +66,9 @@ class FarkasCertificate:
     b: Fraction
 
     def __post_init__(self):
-        if exact_int(self.m, "m") < 1:
-            raise DomainError("m must be positive")
-        if any(exact_int(x, "m_l entry") < 0 for x in self.m_l):
-            raise DomainError("m_l must be nonnegative")
+        exact_int(self.m, "m", 1)
+        for x in self.m_l:
+            exact_int(x, "m_l entry", 0)
         if exact_rational(self.b, "b") < 0:
             raise DomainError("b must be nonnegative")
 
@@ -135,11 +137,17 @@ def farkas_certify(
 ) -> FarkasCertificate | CounterexamplePoint:
     """Certificate or counterexample for ∩ R(1, a_l) ⊆ R(1, a).
 
-    Requires the intersection to be nonempty.  Containment is equivalent
-    to feasibility of {r_l ≥ 0, u = Σ r_l u_l, Σ r_l γ_l ≥ γ} (affine
-    Farkas duality); a feasible rational point is cleared to integers.
-    On failure the returned point satisfies every constraint and violates
-    the target strictly, verified exactly.
+    Requires the intersection to be nonempty.  One elimination of the
+    violated system, the constraints ⟨x, u_l⟩ ≤ −γ_l together with
+    ⟨x, −u⟩ < γ, settles containment.  When that system is consistent, its
+    back-substituted point satisfies every constraint and violates the
+    target strictly, verified exactly.  Otherwise its one final row reads
+    0 ≤ negative or 0 < 0, and the multipliers behind it (affine Farkas
+    lemma, read off by polyhedra._weights) are the certificate.  A zero
+    target weight means the constraints alone are contradictory.  Scaled
+    to target weight 1, the constraint weights r_l satisfy u = Σ r_l u_l
+    and Σ r_l γ_l ≥ γ; m clears their denominators, m_l = m·r_l and
+    b = Σ m_l γ_l − m·γ.
     """
     constraints = list(constraints)
     n = target.n
@@ -150,36 +158,26 @@ def farkas_certify(
         meet.add(c.u, -c.gamma)
     violated = IneqSystem(n, meet.rows)
     violated.add([-x for x in target.u], target.gamma, strict=True)
-    breaks, point = fm_feasible(violated)
-    if breaks:
-        assert point is not None
+    final, levels = _eliminate(violated)
+    if _consistent(final):
+        point = _back_substitute(levels)
         value = Scalar.rational(target.gamma) + dot(list(point), target.u)
         assert value.sign() > 0
         for c in constraints:
             cv = Scalar.rational(c.gamma) + dot(list(point), c.u)
             assert cv.sign() <= 0
         return CounterexamplePoint(point)
-    # Solved only here: a counterexample point already shows that the
-    # intersection is nonempty.
-    if not _feasible(meet):
+    # every zero normal is one key in _dedup, so one row is left
+    (contradiction,) = final
+    *weights, target_weight = [
+        w.as_rational() for w in _weights(contradiction, len(violated.rows))
+    ]
+    # A positive target weight still leaves the meet to check: _dedup may
+    # keep a contradiction that uses the target over one that does not.
+    if not target_weight or not _feasible(meet):
         raise DomainError("the constraint intersection is empty")
-    multipliers = IneqSystem(len(constraints))
-    for j in range(n):
-        coeffs = [c.u[j] for c in constraints]
-        multipliers.add(coeffs, target.u[j])
-        multipliers.add([-x for x in coeffs], -target.u[j])
-    multipliers.add([-c.gamma for c in constraints], -target.gamma)
-    for l in range(len(constraints)):
-        row = [0] * len(constraints)
-        row[l] = -1
-        multipliers.add(row, 0)
-    ok, r = fm_feasible(multipliers)
-    if not ok:
-        raise AssertionError(
-            "containment held but the multiplier system is infeasible"
-        )
-    rationals = [x.as_rational() for x in r]
-    m = lcm(*(q.denominator for q in rationals)) if rationals else 1
+    rationals = [w / target_weight for w in weights]
+    m = lcm(*(q.denominator for q in rationals))
     m_l = tuple(int(q * m) for q in rationals)
     b = sum(
         (ml * c.gamma for ml, c in zip(m_l, constraints)), Fraction(0)

@@ -2,16 +2,19 @@
 
 Inequality systems carry weak and strict rows; Fourier-Motzkin elimination
 decides feasibility exactly.  ``fm_feasible`` also back-substitutes a sample
-point, for ``GammaPolyhedron.sample`` and the counterexamples and
-certificates of ``filters.farkas_certify``; ``is_neighborhood``,
-``in_cone``, ``GammaPolyhedron.is_empty`` and the empty-intersection check
-of ``farkas_certify`` read only the answer and skip back-substitution.
+point, for ``GammaPolyhedron.sample``; ``is_neighborhood``, ``in_cone``,
+``GammaPolyhedron.is_empty`` and the empty-intersection check of
+``filters.farkas_certify`` read only the answer and skip back-substitution.
+``farkas_certify`` eliminates its violated system once and reads off either
+the sample point or the multipliers of the final contradiction.
 Rows under elimination are scaled so that the last nonzero entry of each
 normal, the one it is eliminated on, is 1 or -1; two rows then combine by
 addition.  Each row carries two bitmasks over the input rows: a label,
 which drops redundant combinations by Chernikov's rule, and the support of
 its multipliers, from which one elimination reads the implicit equalities
-that give a polyhedron's dimension.  On top of that sit Γ-rational
+that give a polyhedron's dimension.  It also carries its origin, the rows
+it was built from and its scale, from which ``_weights`` reads the
+multipliers themselves.  On top of that sit Γ-rational
 polyhedra (integer normals, rational right-hand sides), finite unions of
 them, rational sets of tropical polynomials, and the simplicial flags read
 off defining matrices, with the neighborhood test that drives filter
@@ -39,7 +42,7 @@ class IneqSystem:
     __slots__ = ("d", "rows")
 
     def __init__(self, d: int, rows: Sequence[Row] = ()):
-        self.d = exact_int(d, "variable count")
+        self.d = exact_int(d, "variable count", 0)
         self.rows: list[Row] = []
         for normal, rhs, strict in rows:
             self.add(normal, rhs, strict)
@@ -60,17 +63,27 @@ class IneqSystem:
         self.rows.append((coeffs, Scalar.coerce(rhs), strict))
 
 
-# A row under elimination: (normal, rhs, strict, label, support), where
-# label and support are bitmasks over the input rows.
-_MaskedRow = tuple[tuple[Scalar, ...], Scalar, bool, int, int]
+# A row under elimination: (normal, rhs, strict, label, support, origin).
+# label and support are bitmasks over the input rows; origin is (factor, i)
+# for input row i and (factor, (pos, neg)) for the sum of two rows of the
+# level before, and the row is factor times that.
+_MaskedRow = tuple[tuple[Scalar, ...], Scalar, bool, int, int, tuple]
 
 
-def _normalize_row(row: _MaskedRow) -> _MaskedRow:
-    coeffs, rhs, strict, label, support = row
+def _normalize_row(
+    coeffs: tuple[Scalar, ...],
+    rhs: Scalar,
+    strict: bool,
+    label: int,
+    support: int,
+    source: int | tuple[_MaskedRow, _MaskedRow],
+) -> _MaskedRow:
+    """The row scaled so that its last nonzero entry is 1 or -1; the
+    inverse it is scaled by is the factor of its origin."""
     pivot = next((x for x in reversed(coeffs) if x), ONE)
     size = pivot if pivot.sign() > 0 else -pivot
     if size == ONE:
-        return row
+        return (coeffs, rhs, strict, label, support, (ONE, source))
     inv = ONE / size
     return (
         tuple(x * inv for x in coeffs),
@@ -78,6 +91,7 @@ def _normalize_row(row: _MaskedRow) -> _MaskedRow:
         strict,
         label,
         support,
+        (inv, source),
     )
 
 
@@ -85,22 +99,27 @@ def _dedup(rows: list[_MaskedRow]) -> list[_MaskedRow]:
     """One row per normal (rows come with last nonzero entry ±1: one key
     per ray): the tightest, labelled with the intersection of the merged
     labels; its support is the union over exact ties."""
-    best: dict[tuple[Scalar, ...], tuple[Scalar, bool, int, int]] = {}
-    for coeffs, rhs, strict, label, support in rows:
+    best: dict[tuple[Scalar, ...], _MaskedRow] = {}
+    for row in rows:
+        coeffs, rhs, strict, label, support, origin = row
         seen = best.get(coeffs)
         if seen is None:
-            best[coeffs] = (rhs, strict, label, support)
+            best[coeffs] = row
             continue
-        old_rhs, old_strict, old_label, old_support = seen
+        _, old_rhs, old_strict, old_label, old_support, old_origin = seen
         label &= old_label
         diff = (rhs - old_rhs).sign()
         if diff < 0 or (diff == 0 and strict and not old_strict):
-            best[coeffs] = (rhs, strict, label, support)
+            best[coeffs] = (coeffs, rhs, strict, label, support, origin)
         elif diff == 0 and strict == old_strict:
-            best[coeffs] = (rhs, strict, label, support | old_support)
+            best[coeffs] = (
+                coeffs, rhs, strict, label, support | old_support, origin
+            )
         else:
-            best[coeffs] = (old_rhs, old_strict, label, old_support)
-    return [(c,) + v for c, v in best.items()]
+            best[coeffs] = (
+                coeffs, old_rhs, old_strict, label, old_support, old_origin
+            )
+    return list(best.values())
 
 
 def _eliminate(
@@ -108,12 +127,13 @@ def _eliminate(
 ) -> tuple[list[_MaskedRow], list[tuple[list[_MaskedRow], list[_MaskedRow]]]]:
     """Fourier-Motzkin elimination of every variable, last to first.
 
-    Returns the final rows (all with zero normal) and, per variable k, the
-    rows with coefficient 1 and -1 on x_k when it was eliminated.  Rows at
-    level k are zero beyond x_k, so a positive and a negative one combine
-    as their sum, strict when either parent is.  Another positive scaling
-    would keep every answer: rows on one ray share a scale in _dedup, and
-    zero normals are read only through the signs of their right-hand sides.
+    Returns the final rows (all with zero normal, so at most one after
+    _dedup) and, per variable k, the rows with coefficient 1 and -1 on x_k
+    when it was eliminated.  Rows at level k are zero beyond x_k, so a
+    positive and a negative one combine as their sum, strict when either
+    parent is.  Another positive scaling would keep every answer: rows on
+    one ray share a scale in _dedup, and zero normals are read only
+    through the signs of their right-hand sides.
 
     Each row carries two masks over the input rows.  Its support is the
     set of input rows with a positive multiplier in it: the union of its
@@ -140,10 +160,20 @@ def _eliminate(
     strictly tighter row with its normal would combine along the same
     chain into 0 < 0 or 0 <= negative, making the system infeasible), and
     exact ties take the union of the supports.
+
+    Each row's origin names the rows it was built from and the scale
+    _normalize_row applied, so _weights reads off the nonnegative
+    multipliers λ with row = Σ λ_i·input_i, exactly: the row that _dedup
+    keeps carries the origin of the rhs and strictness it keeps.  On an
+    infeasible system the one final row reads 0 <= negative or 0 < 0, and
+    its multipliers are a Farkas certificate of infeasibility.  When the
+    system is a feasible one plus a single strict row, that row's weight
+    in the certificate is positive: with weight 0 the feasible rows alone
+    would combine into the contradiction.
     """
     d = system.d
     work = _dedup([
-        _normalize_row((c, r, s, 1 << i, 1 << i))
+        _normalize_row(c, r, s, 1 << i, 1 << i, i)
         for i, (c, r, s) in enumerate(system.rows)
     ])
     levels: list[tuple[list[_MaskedRow], list[_MaskedRow]]] = [([], [])] * d
@@ -157,21 +187,48 @@ def _eliminate(
         levels[k] = (pos, neg)
         combined = zero
         tail = (ZERO,) * (d - k)
-        for pc, pr, ps, pl, pm in pos:
-            for nc, nr, ns, nl, nm in neg:
+        for prow in pos:
+            pc, pr, ps, pl, pm, _ = prow
+            pc = pc[:k]
+            for nrow in neg:
+                nc, nr, ns, nl, nm, _ = nrow
                 label = pl | nl
                 if label.bit_count() > max_bits:
                     continue
-                coeffs = tuple(x + y for x, y in zip(pc[:k], nc)) + tail
+                coeffs = tuple(x + y for x, y in zip(pc, nc)) + tail
                 combined.append(_normalize_row(
-                    (coeffs, pr + nr, ps or ns, label, pm | nm)
+                    coeffs, pr + nr, ps or ns, label, pm | nm, (prow, nrow)
                 ))
         work = _dedup(combined)
     return work, levels
 
 
+def _weights(
+    row: _MaskedRow, count: int, memo: Optional[dict[int, list[Scalar]]] = None
+) -> list[Scalar]:
+    """The multipliers λ of the count input rows with row = Σ λ_i·input_i,
+    read off the row's origins (see _eliminate).  memo holds the rows
+    already walked in this call, by identity."""
+    if memo is None:
+        memo = {}
+    w = memo.get(id(row))
+    if w is None:
+        factor, source = row[5]
+        if isinstance(source, int):
+            w = [ZERO] * count
+            w[source] = factor
+        else:
+            p, n = source
+            w = [
+                factor * (x + y)
+                for x, y in zip(_weights(p, count, memo), _weights(n, count, memo))
+            ]
+        memo[id(row)] = w
+    return w
+
+
 def _consistent(final: list[_MaskedRow]) -> bool:
-    for _, rhs, strict, _, _ in final:
+    for _, rhs, strict, _, _, _ in final:
         s = rhs.sign()
         if s < 0 or (strict and s == 0):
             return False
@@ -188,36 +245,45 @@ def fm_feasible(
 ) -> tuple[bool, Optional[tuple[Scalar, ...]]]:
     """Fourier-Motzkin feasibility with an exact sample point.
 
-    Variables are eliminated by _eliminate, with Chernikov pruning.  On
-    success the bounds collected at each level are back-substituted,
-    preferring simple rational values inside open intervals: a row
-    ±x_k + <c, x> <= rhs bounds x_k by ±(rhs - <c, x>), with no division.
-    Callers that need only the answer use _feasible, which skips the
+    Variables are eliminated by _eliminate, with Chernikov pruning, and a
+    consistent system's point is read off by _back_substitute.  Callers
+    that need only the answer use _feasible, which skips the
     back-substitution: is_neighborhood, in_cone, GammaPolyhedron.is_empty
     and the empty-intersection check of filters.farkas_certify.
     """
     final, levels = _eliminate(system)
     if not _consistent(final):
         return False, None
+    return True, _back_substitute(levels)
+
+
+def _back_substitute(
+    levels: list[tuple[list[_MaskedRow], list[_MaskedRow]]],
+) -> tuple[Scalar, ...]:
+    """The sample point of a consistent elimination, first variable first.
+
+    The bounds collected at each level are back-substituted, preferring
+    simple rational values inside open intervals: a row
+    ±x_k + <c, x> <= rhs bounds x_k by ±(rhs - <c, x>), with no division.
+    """
     point: list[Scalar] = []
-    for k in range(system.d):
-        pos, neg = levels[k]
+    for k, (pos, neg) in enumerate(levels):
         upper: Optional[tuple[Scalar, bool]] = None
         lower: Optional[tuple[Scalar, bool]] = None
-        for coeffs, rhs, strict, _, _ in pos:
+        for coeffs, rhs, strict, _, _, _ in pos:
             bound = rhs - dot(point, coeffs[:k])
             if upper is None or (bound - upper[0]).sign() < 0 or (
                 bound == upper[0] and strict and not upper[1]
             ):
                 upper = (bound, strict)
-        for coeffs, rhs, strict, _, _ in neg:
+        for coeffs, rhs, strict, _, _, _ in neg:
             bound = dot(point, coeffs[:k]) - rhs
             if lower is None or (bound - lower[0]).sign() > 0 or (
                 bound == lower[0] and strict and not lower[1]
             ):
                 lower = (bound, strict)
         point.append(_pick_value(lower, upper))
-    return True, tuple(point)
+    return tuple(point)
 
 
 def _pick_value(
@@ -257,7 +323,7 @@ class GammaPolyhedron:
         n: int,
         rows: Sequence[tuple[Sequence[int], Fraction | int]] = (),
     ):
-        self.n = exact_int(n, "dimension")
+        self.n = exact_int(n, "dimension", 0)
         clean = []
         for u, gamma in rows:
             u = tuple([exact_int(x, "normal entry") for x in u])
@@ -307,7 +373,7 @@ class GammaPolyhedron:
         if not _consistent(final):
             return -1
         support = 0
-        for _, rhs, _, _, mask in final:
+        for _, rhs, _, _, mask, _ in final:
             if not rhs:
                 support |= mask
         eq_normals = [
@@ -510,18 +576,18 @@ def locally_equivalent(F: Flag, G: Flag) -> EqualityVerdict:
 
 
 def in_cone(v: Sequence[ScalarLike], generators: Sequence[Sequence[ScalarLike]]) -> bool:
-    """Is v a nonnegative combination of the generators?"""
-    gens = [[Scalar.coerce(x) for x in g] for g in generators]
+    """Is v a nonnegative combination of the generators?
+
+    By Farkas' lemma v lies outside the cone exactly when some y has
+    ⟨g, y⟩ ≥ 0 for every generator g and ⟨v, y⟩ < 0, so one elimination
+    in the ambient variables decides it, with one row per generator.
+    """
     vec = [Scalar.coerce(x) for x in v]
-    m = len(gens)
-    s = IneqSystem(m)
-    for t in range(len(vec)):
-        coeffs = [g[t] for g in gens]
-        s.add(coeffs, vec[t])
-        s.add([-c for c in coeffs], -vec[t])
-    for j in range(m):
-        s.add([ZERO] * j + [Scalar.rational(-1)] + [ZERO] * (m - j - 1), ZERO)
-    return _feasible(s)
+    s = IneqSystem(len(vec))
+    for g in generators:
+        s.add([-Scalar.coerce(x) for x in g], ZERO)
+    s.add(vec, ZERO, strict=True)
+    return not _feasible(s)
 
 
 def relative_interior_matrix(

@@ -68,7 +68,7 @@ class DefiningMatrix:
         else:
             if n is None:
                 raise DimensionError("empty matrix needs an explicit n")
-            self.n = exact_int(n, "variable count")
+            self.n = exact_int(n, "variable count", 0)
 
     def first_column_ok(self) -> bool:
         """First column lexicographically >= 0."""
@@ -311,6 +311,10 @@ class KernelSubgroup:
         an explicit gamma (default 0), graph kind computes it and refuses
         one."""
         coeffs = [exact_int(a, "basis coefficient") for a in coeffs]
+        if len(coeffs) != len(self.lattice):
+            raise DimensionError(
+                f"{len(coeffs)} coefficients for a basis of {len(self.lattice)}"
+            )
         if self.kind == "product":
             gamma = Fraction(0) if gamma is None else gamma
         elif gamma is not None:

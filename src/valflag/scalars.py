@@ -93,10 +93,13 @@ def _union(a: "Scalar", b: "Scalar") -> int:
     return primes
 
 
-def exact_int(x: int, what: str) -> int:
-    """x as an int; DomainError unless it is an int other than a bool."""
+def exact_int(x: int, what: str, minimum: int | None = None) -> int:
+    """x as an int; DomainError unless it is an int other than a bool, and
+    at least minimum when one is given."""
     if isinstance(x, bool) or not isinstance(x, int):
         raise DomainError(f"{what} must be an int, got {x!r}")
+    if minimum is not None and x < minimum:
+        raise DomainError(f"{what} must be >= {minimum}, got {x}")
     return int(x)
 
 
@@ -144,9 +147,7 @@ class Scalar:
         reduced: dict[int, Fraction] = {}
         if terms:
             for n, q in terms.items():
-                n = exact_int(n, "radicand")
-                if n < 0:
-                    raise DomainError(f"radicand must be nonnegative, got {n}")
+                n = exact_int(n, "radicand", 0)
                 q = exact_rational(q, "coefficient")
                 if not q or not n:
                     continue

@@ -73,9 +73,7 @@ class TropPolynomial:
     def __init__(self, n: int, terms: Mapping[tuple[int, ...], RationalLike] = ()):
         """Build from a map, or pairs, exponent -> coefficient exponent; a
         repeated exponent keeps its largest coefficient (tropical sum)."""
-        self.n = exact_int(n, "variable count")
-        if self.n < 0:
-            raise DomainError(f"variable count must be >= 0, got {n}")
+        self.n = exact_int(n, "variable count", 0)
         clean: dict[tuple[int, ...], Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for u, gamma in items:

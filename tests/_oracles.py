@@ -39,6 +39,15 @@ The simplicialization oracle skips every generator inside the previous
 cone by a Fourier-Motzkin cone test before its rank test, where
 ``simplicialize`` runs the rank test alone.
 
+The cone-membership oracle solves the primal system {λ ≥ 0, Σ λ_j g_j = v}
+in one variable per generator, where ``in_cone`` eliminates the dual system
+in the ambient variables.
+
+The Farkas oracle eliminates a separate multiplier system
+{r_l ≥ 0, u = Σ r_l u_l, Σ r_l γ_l ≥ γ} in one variable per constraint and
+clears a point of it to integers, where ``farkas_certify`` reads the
+multipliers off the contradiction that settles containment.
+
 The term-text oracle splits the text on '+', '*' and '^' and reads each
 piece with ``int``, where ``parse_poly`` walks the scalar grammar's cursor;
 it merges repeated exponents in its own dict.
@@ -52,6 +61,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from valflag import (
+    CounterexamplePoint,
     EQUAL,
     GREATER,
     LESS,
@@ -61,13 +71,16 @@ from valflag import (
     DimensionError,
     DomainError,
     ExponentVector,
+    FarkasCertificate,
     GammaPolyhedron,
+    IneqSystem,
     Prime,
     Scalar,
     TropPolynomial,
     canonicalize,
-    in_cone,
+    fm_feasible,
 )
+from valflag.polyhedra import _feasible
 from valflag.scalars import ZERO, dot, simplest_between
 
 RatRow = tuple[list[Fraction], Fraction, bool]
@@ -354,7 +367,7 @@ def ref_simplicial_rays(cones) -> tuple[list[list[Scalar]] | None, int]:
     for i in range(1, len(gens_list)):
         pick = None
         for g in gens_list[i]:
-            if in_cone(g, gens_list[i - 1]):
+            if ref_in_cone(g, gens_list[i - 1]):
                 skipped += 1
                 continue
             if ref_rank(chosen + [g]) == i + 1:
@@ -364,6 +377,62 @@ def ref_simplicial_rays(cones) -> tuple[list[list[Scalar]] | None, int]:
             return None, skipped
         chosen.append(pick)
     return chosen, skipped
+
+
+# -- cone membership and Farkas certificates by primal systems -----------------
+
+
+def ref_in_cone(v, generators) -> bool:
+    """Is v a nonnegative combination of the generators?  Feasibility of
+    the primal system, one variable per generator."""
+    gens = [[Scalar.coerce(x) for x in g] for g in generators]
+    vec = [Scalar.coerce(x) for x in v]
+    m = len(gens)
+    s = IneqSystem(m)
+    for t in range(len(vec)):
+        coeffs = [g[t] for g in gens]
+        s.add(coeffs, vec[t])
+        s.add([-c for c in coeffs], -vec[t])
+    for j in range(m):
+        s.add([ZERO] * j + [Scalar.rational(-1)] + [ZERO] * (m - j - 1), ZERO)
+    return _feasible(s)
+
+
+def ref_farkas_certify(constraints, target):
+    """farkas_certify by three eliminations: the violated system for a
+    counterexample point, the meet for emptiness, then the multiplier
+    system, whose back-substituted point is cleared to integers."""
+    constraints = list(constraints)
+    n = target.n
+    meet = IneqSystem(n)
+    for c in constraints:
+        meet.add(c.u, -c.gamma)
+    violated = IneqSystem(n, meet.rows)
+    violated.add([-x for x in target.u], target.gamma, strict=True)
+    breaks, point = fm_feasible(violated)
+    if breaks:
+        return CounterexamplePoint(point)
+    if not _feasible(meet):
+        raise DomainError("the constraint intersection is empty")
+    multipliers = IneqSystem(len(constraints))
+    for j in range(n):
+        coeffs = [c.u[j] for c in constraints]
+        multipliers.add(coeffs, target.u[j])
+        multipliers.add([-x for x in coeffs], -target.u[j])
+    multipliers.add([-c.gamma for c in constraints], -target.gamma)
+    for l in range(len(constraints)):
+        row = [0] * len(constraints)
+        row[l] = -1
+        multipliers.add(row, 0)
+    ok, r = fm_feasible(multipliers)
+    assert ok, "containment held but the multiplier system is infeasible"
+    rationals = [x.as_rational() for x in r]
+    m = math.lcm(*(q.denominator for q in rationals))
+    m_l = tuple(int(q * m) for q in rationals)
+    b = sum(
+        (ml * c.gamma for ml, c in zip(m_l, constraints)), Fraction(0)
+    ) - m * target.gamma
+    return FarkasCertificate(m, m_l, b)
 
 
 # -- scalar arithmetic through the reducing constructor -----------------------

@@ -81,6 +81,14 @@ OTHER_BAD = {
     ),
 }
 
+# sizes: an int, but a negative one
+NEGATIVE = {
+    "GammaPolyhedron n": lambda v: GammaPolyhedron(v),
+    "IneqSystem d": lambda v: IneqSystem(v),
+    "DefiningMatrix n": lambda v: DefiningMatrix([], n=v),
+    "TropPolynomial n": lambda v: TropPolynomial(v),
+}
+
 CASES = [
     pytest.param(read, value, id=f"{name}-{value!r}")
     for name, read in READERS.items()
@@ -89,6 +97,9 @@ CASES = [
     pytest.param(read, value, id=f"{name}-{value!r}")
     for name, (read, values) in OTHER_BAD.items()
     for value in values
+] + [
+    pytest.param(read, -1, id=f"{name}--1")
+    for name, read in NEGATIVE.items()
 ]
 
 
@@ -118,6 +129,9 @@ def test_refusals_of_caller_input_are_domain_errors():
         lambda: simplest_between(1, 1),
         lambda: TropPolynomial(1).the_term(),
         lambda: TropPolynomial(-1),
+        lambda: GammaPolyhedron(-1),
+        lambda: IneqSystem(-2),
+        lambda: DefiningMatrix([], n=-3),
         lambda: KernelSubgroup("other", 1, ((1,),)),
         lambda: EqualityVerdict("Equal", ExponentVector(0, (1,))),
         lambda: FarkasCertificate(0, (), Fraction(0)),

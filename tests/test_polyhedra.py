@@ -27,7 +27,7 @@ from valflag import (
     relative_interior_matrix,
     simplicialize,
 )
-from valflag.polyhedra import _eliminate, _feasible
+from valflag.polyhedra import _consistent, _eliminate, _feasible, _weights
 from valflag.scalars import ONE, ZERO, dot
 
 from _oracles import (
@@ -37,6 +37,7 @@ from _oracles import (
     random_scalar,
     ref_dim,
     ref_fm_feasible,
+    ref_in_cone,
     ref_simplicial_rays,
 )
 
@@ -210,12 +211,50 @@ def test_fm_rows_have_unit_pivots():
         final, levels = _eliminate(IneqSystem(d, rows))
         for k, (pos, neg) in enumerate(levels):
             for side, unit in ((pos, ONE), (neg, -ONE)):
-                for coeffs, _, _, _, _ in side:
+                for coeffs, _, _, _, _, _ in side:
                     assert coeffs[k] == unit
                     assert all(x == ZERO for x in coeffs[k + 1:])
                     checked += 1
-        assert all(not any(coeffs) for coeffs, _, _, _, _ in final)
+        assert all(not any(coeffs) for coeffs, _, _, _, _, _ in final)
     assert checked >= 1000
+
+
+def test_row_origins_give_exact_multipliers():
+    # Every row under elimination, and the final contradiction of an
+    # infeasible system, is the combination of the input rows with the
+    # multipliers its origins give: nonnegative, positive only inside its
+    # support (exact ties in _dedup unite supports but keep one origin),
+    # and strict exactly when a strict input row has weight.
+    rng = random.Random(53)
+
+    def entry(irrational):
+        r = rng.random()
+        if r < 0.25:
+            return ZERO
+        if irrational and r < 0.4:
+            return random_scalar(rng, irrational_p=1.0)
+        return Scalar.rational(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+
+    checked = infeasible = 0
+    for i in range(80):
+        d = rng.randint(1, 4)
+        rows = _random_rows(rng, d, i % 2 == 1, entry, min(10, 40 // d))
+        final, levels = _eliminate(IneqSystem(d, rows))
+        assert len(final) <= 1
+        infeasible += not _consistent(final)
+        for row in final + [r for pos, neg in levels for r in pos + neg]:
+            coeffs, rhs, strict, _, support, _ = row
+            weights = _weights(row, len(rows))
+            assert all(w.sign() >= 0 for w in weights)
+            assert all(support >> j & 1 for j, w in enumerate(weights) if w)
+            assert strict == any(w and rows[j][2] for j, w in enumerate(weights))
+            assert rhs == sum((w * r[1] for w, r in zip(weights, rows)), ZERO)
+            for k in range(d):
+                assert coeffs[k] == sum(
+                    (w * r[0][k] for w, r in zip(weights, rows)), ZERO
+                )
+            checked += 1
+    assert checked >= 500 and infeasible >= 20
 
 
 def test_ineq_system_rejects_bad_rows():
@@ -541,6 +580,41 @@ def test_in_cone():
     assert in_cone([2, 0], [[1, 0]])
     assert in_cone([0, 0], [[1, 0]])
     assert in_cone([R2, ZERO], [[1, 0]])
+    assert in_cone([0, 0], []) and not in_cone([1, 0], [])
+    with pytest.raises(DimensionError):
+        in_cone([1, 1], [[1, 0, 0]])
+
+
+def test_in_cone_agrees_with_primal_oracle():
+    # The dual system in the ambient variables against the primal one in
+    # one variable per generator, on cones in up to four dimensions with
+    # up to seven generators, irrational entries among them.  Vectors are
+    # drawn inside (a combination of the generators, often on a face),
+    # outside, or at random.
+    rng = random.Random(61)
+    inside = outside = 0
+    for _ in range(500):
+        d = rng.randint(1, 4)
+        gens = [
+            [random_scalar(rng, irrational_p=0.3) for _ in range(d)]
+            for _ in range(rng.randint(1, 7))
+        ]
+        kind = rng.random()
+        if kind < 0.5:
+            v = [ZERO] * d
+            for g in gens:
+                c = Scalar.rational(rng.choice((0, 0, 1, 2, Fraction(1, 3))))
+                v = [a + c * x for a, x in zip(v, g)]
+        elif kind < 0.75:
+            g = rng.choice(gens)
+            v = [-x for x in g]
+        else:
+            v = [random_scalar(rng, irrational_p=0.3) for _ in range(d)]
+        answer = in_cone(v, gens)
+        assert answer == ref_in_cone(v, gens)
+        inside += answer
+        outside += not answer
+    assert inside >= 150 and outside >= 100
 
 
 def test_simplicialize_already_simplicial():

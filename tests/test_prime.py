@@ -517,6 +517,19 @@ def test_witness_members_of_kernel_subgroup():
     assert full.member([1, 0], Fraction(5)) == ExponentVector(Fraction(5), (1, 0))
 
 
+def test_member_refuses_coefficients_of_the_wrong_length():
+    # one coefficient per basis vector: a short list is not padded with
+    # zeros, and a long one is not cut
+    for H, coeffs in (
+        (KernelSubgroup.full(2), [1]),
+        (KernelSubgroup.full(1), [1, 5, 7]),
+        (KernelSubgroup.full(0), [0]),
+        (KernelSubgroup("graph", 2, ((1, 1),), (Fraction(1, 2),)), []),
+    ):
+        with pytest.raises(DimensionError):
+            H.member(coeffs)
+
+
 # -- final kernel and classification ------------------------------------------
 
 
