@@ -2,10 +2,13 @@
 
 The filter itself is infinite, so it is represented by its decision
 procedure: a set belongs to it exactly when one of its pieces is a
-neighborhood of the flag of the defining matrix.  Half-space queries have
-a pure lex fast path, containments of half-space intersections produce
-multiplicative Farkas certificates or exact counterexample points, and the
-minimum member dimension is witnessed by an explicit polyhedron.
+neighborhood of the flag of the defining matrix, that is, meets the
+relative interior of every flag member.  Half-space queries have a pure
+lex fast path, containments of half-space intersections produce
+multiplicative Farkas certificates or exact counterexample points from one
+elimination, and the minimum member dimension is witnessed by an explicit
+polyhedron whose membership is proved by one exact point in the relative
+interior of each flag member, with no elimination.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .polyhedra import (
     _back_substitute,
     _consistent,
     _eliminate,
-    _feasible,
     _weights,
     flag_from_matrix,
     is_neighborhood,
@@ -37,7 +39,6 @@ from .prime import (
     Prime,
     classify,
     final_kernel,
-    min_filter_dim,
 )
 from .scalars import Scalar, dot, exact_int, exact_rational
 from .tropical import ExponentVector
@@ -139,26 +140,30 @@ def farkas_certify(
 
     Requires the intersection to be nonempty.  One elimination of the
     violated system, the constraints ⟨x, u_l⟩ ≤ −γ_l together with
-    ⟨x, −u⟩ < γ, settles containment.  When that system is consistent, its
-    back-substituted point satisfies every constraint and violates the
-    target strictly, verified exactly.  Otherwise its one final row reads
-    0 ≤ negative or 0 < 0, and the multipliers behind it (affine Farkas
-    lemma, read off by polyhedra._weights) are the certificate.  A zero
-    target weight means the constraints alone are contradictory.  Scaled
-    to target weight 1, the constraint weights r_l satisfy u = Σ r_l u_l
-    and Σ r_l γ_l ≥ γ; m clears their denominators, m_l = m·r_l and
-    b = Σ m_l γ_l − m·γ.
+    ⟨x, −u⟩ < γ, settles both questions: split on the target row, it
+    keeps one final row built without the target, which decides the meet,
+    and one built with it (see polyhedra._eliminate).  When the meet's row
+    is inconsistent the intersection is empty.  When every row is
+    consistent, the back-substituted point satisfies every constraint and
+    violates the target strictly, verified exactly.  Otherwise the target's
+    row reads 0 ≤ negative or 0 < 0, and the multipliers behind it (affine
+    Farkas lemma, read off by polyhedra._weights) are the certificate, with
+    a positive target weight.  Scaled to target weight 1, the constraint
+    weights r_l satisfy u = Σ r_l u_l and Σ r_l γ_l ≥ γ; m clears their
+    denominators, m_l = m·r_l and b = Σ m_l γ_l − m·γ.
     """
     constraints = list(constraints)
     n = target.n
     if any(c.n != n for c in constraints):
         raise DimensionError("terms in different variable counts")
-    meet = IneqSystem(n)
+    violated = IneqSystem(n)
     for c in constraints:
-        meet.add(c.u, -c.gamma)
-    violated = IneqSystem(n, meet.rows)
+        violated.add(c.u, -c.gamma)
     violated.add([-x for x in target.u], target.gamma, strict=True)
-    final, levels = _eliminate(violated)
+    target_bit = 1 << len(constraints)
+    final, levels = _eliminate(violated, target_bit)
+    if not _consistent([row for row in final if not row[4] & target_bit]):
+        raise DomainError("the constraint intersection is empty")
     if _consistent(final):
         point = _back_substitute(levels)
         value = Scalar.rational(target.gamma) + dot(list(point), target.u)
@@ -167,15 +172,11 @@ def farkas_certify(
             cv = Scalar.rational(c.gamma) + dot(list(point), c.u)
             assert cv.sign() <= 0
         return CounterexamplePoint(point)
-    # every zero normal is one key in _dedup, so one row is left
-    (contradiction,) = final
+    (contradiction,) = [row for row in final if row[4] & target_bit]
     *weights, target_weight = [
         w.as_rational() for w in _weights(contradiction, len(violated.rows))
     ]
-    # A positive target weight still leaves the meet to check: _dedup may
-    # keep a contradiction that uses the target over one that does not.
-    if not target_weight or not _feasible(meet):
-        raise DomainError("the constraint intersection is empty")
+    assert target_weight > 0
     rationals = [w / target_weight for w in weights]
     m = lcm(*(q.denominator for q in rationals))
     m_l = tuple(int(q * m) for q in rationals)
@@ -191,10 +192,15 @@ def mindim_witness(P: Prime) -> GammaPolyhedron:
     """A member polyhedron of minimum dimension.
 
     Each final-kernel basis element (α, u) gives a hyperplane
-    ⟨x, u⟩ = −α that belongs to the filter (both bounding half-spaces do,
-    since C·(α, u) = 0); the hyperplanes are intersected with a box of
-    side 6 around the integer point nearest the flag vertex.  Membership
-    and dimension are re-verified before returning.
+    ⟨x, u⟩ = −α; the hyperplanes are intersected with a box of side 6
+    around the integer point nearest the flag vertex.  Membership is proved
+    by points: with M = 1 + max ⌊|x|⌋ over the direction entries, L the
+    flag length and ε = 1/(M·max(1, L) + 1), the point
+    base + ε·(d_0 + … + d_{i−1}) lies in the relative interior of flag
+    member i, on every hyperplane (C·(α, u) = 0), and less than 1 from the
+    vertex, which is at least 2.5 inside the box; each point is checked
+    exactly.  The dimension, n minus the kernel rank, is checked by
+    witness.dim().
     """
     if classify(P) != CONT:
         raise DomainError("minimum-dimension witness needs a cont prime")
@@ -211,8 +217,17 @@ def mindim_witness(P: Prime) -> GammaPolyhedron:
         rows.append((tuple(unit), Fraction(hi)))
         rows.append((tuple(-x for x in unit), Fraction(-lo)))
     witness = GammaPolyhedron(n, rows)
-    assert filter_member(P, witness).member
-    assert witness.dim() == min_filter_dim(P)
+    M = 1 + max(
+        (max(x.floor(), (-x).floor()) for v in flag.dirs for x in v),
+        default=0,
+    )
+    eps = Scalar.rational(Fraction(1, M * max(1, flag.length) + 1))
+    point = list(flag.base)
+    assert witness.contains(point)
+    for v in flag.dirs:
+        point = [p + eps * x for p, x in zip(point, v)]
+        assert witness.contains(point)
+    assert witness.dim() == n - K.rank
     return witness
 
 

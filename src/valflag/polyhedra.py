@@ -2,11 +2,12 @@
 
 Inequality systems carry weak and strict rows; Fourier-Motzkin elimination
 decides feasibility exactly.  ``fm_feasible`` also back-substitutes a sample
-point, for ``GammaPolyhedron.sample``; ``is_neighborhood``, ``in_cone``,
-``GammaPolyhedron.is_empty`` and the empty-intersection check of
-``filters.farkas_certify`` read only the answer and skip back-substitution.
-``farkas_certify`` eliminates its violated system once and reads off either
-the sample point or the multipliers of the final contradiction.
+point, for ``GammaPolyhedron.sample``; ``is_neighborhood``, ``in_cone``
+and ``GammaPolyhedron.is_empty`` read only the answer and skip
+back-substitution.  ``filters.farkas_certify`` eliminates its violated
+system once, split on the target row so that the rows built without it
+decide the constraints' meet, and reads off either the sample point or the
+multipliers of the final contradiction.
 Rows under elimination are scaled so that the last nonzero entry of each
 normal, the one it is eliminated on, is 1 or -1; two rows then combine by
 addition.  Each row carries two bitmasks over the input rows: a label,
@@ -95,45 +96,48 @@ def _normalize_row(
     )
 
 
-def _dedup(rows: list[_MaskedRow]) -> list[_MaskedRow]:
-    """One row per normal (rows come with last nonzero entry ±1: one key
-    per ray): the tightest, labelled with the intersection of the merged
-    labels; its support is the union over exact ties."""
-    best: dict[tuple[Scalar, ...], _MaskedRow] = {}
+def _dedup(rows: list[_MaskedRow], split: int = 0) -> list[_MaskedRow]:
+    """One row per normal and class (rows come with last nonzero entry ±1:
+    one key per ray; a row's class is whether its support meets split): the
+    tightest, labelled with the intersection of the merged labels; its
+    support is the union over exact ties."""
+    best: dict[tuple[tuple[Scalar, ...], bool], _MaskedRow] = {}
     for row in rows:
         coeffs, rhs, strict, label, support, origin = row
-        seen = best.get(coeffs)
+        key = (coeffs, support & split != 0)
+        seen = best.get(key)
         if seen is None:
-            best[coeffs] = row
+            best[key] = row
             continue
         _, old_rhs, old_strict, old_label, old_support, old_origin = seen
         label &= old_label
         diff = (rhs - old_rhs).sign()
         if diff < 0 or (diff == 0 and strict and not old_strict):
-            best[coeffs] = (coeffs, rhs, strict, label, support, origin)
+            best[key] = (coeffs, rhs, strict, label, support, origin)
         elif diff == 0 and strict == old_strict:
-            best[coeffs] = (
+            best[key] = (
                 coeffs, rhs, strict, label, support | old_support, origin
             )
         else:
-            best[coeffs] = (
+            best[key] = (
                 coeffs, old_rhs, old_strict, label, old_support, old_origin
             )
     return list(best.values())
 
 
 def _eliminate(
-    system: IneqSystem,
+    system: IneqSystem, split: int = 0
 ) -> tuple[list[_MaskedRow], list[tuple[list[_MaskedRow], list[_MaskedRow]]]]:
     """Fourier-Motzkin elimination of every variable, last to first.
 
-    Returns the final rows (all with zero normal, so at most one after
-    _dedup) and, per variable k, the rows with coefficient 1 and -1 on x_k
-    when it was eliminated.  Rows at level k are zero beyond x_k, so a
-    positive and a negative one combine as their sum, strict when either
-    parent is.  Another positive scaling would keep every answer: rows on
-    one ray share a scale in _dedup, and zero normals are read only
-    through the signs of their right-hand sides.
+    Returns the final rows (all with zero normal, so at most one final row
+    per class after _dedup, see split below) and, per variable k, the rows
+    with coefficient 1 and -1 on x_k when it was eliminated.  Rows at
+    level k are zero beyond x_k, so a positive and a negative one combine
+    as their sum, strict when either parent is.  Another positive scaling
+    would keep every answer: rows on one ray share a scale in _dedup, and
+    zero normals are read only through the signs of their right-hand
+    sides.
 
     Each row carries two masks over the input rows.  Its support is the
     set of input rows with a positive multiplier in it: the union of its
@@ -165,17 +169,29 @@ def _eliminate(
     _normalize_row applied, so _weights reads off the nonnegative
     multipliers λ with row = Σ λ_i·input_i, exactly: the row that _dedup
     keeps carries the origin of the rhs and strictness it keeps.  On an
-    infeasible system the one final row reads 0 <= negative or 0 < 0, and
-    its multipliers are a Farkas certificate of infeasibility.  When the
-    system is a feasible one plus a single strict row, that row's weight
-    in the certificate is positive: with weight 0 the feasible rows alone
-    would combine into the contradiction.
+    infeasible system a final row reads 0 <= negative or 0 < 0, and its
+    multipliers are a Farkas certificate of infeasibility.
+
+    split is a mask over the input rows (0 for one class).  A row's class
+    is whether its support meets split, and _dedup merges rows only within
+    a class.  A row avoiding split has parents that both avoid it, so the
+    rows of that class are built, merged and pruned among themselves
+    exactly as in the elimination of the input rows outside split alone:
+    its final row decides that subsystem.  Chernikov's argument holds in
+    each class, since a kept row dominating a ray is replaced only by a
+    row of its own class that dominates it, with a label no larger.  Every
+    level therefore still describes the projection of the whole system,
+    and back-substitution picks the same point.  When the rows outside
+    split are consistent and the whole system is not, the final row of
+    the other class is the contradiction, and its weight on some split row
+    is positive.  It need not be the unsplit run's final row: labels are
+    intersected within a class only, so the classes prune differently.
     """
     d = system.d
     work = _dedup([
         _normalize_row(c, r, s, 1 << i, 1 << i, i)
         for i, (c, r, s) in enumerate(system.rows)
-    ])
+    ], split)
     levels: list[tuple[list[_MaskedRow], list[_MaskedRow]]] = [([], [])] * d
     for k in range(d - 1, -1, -1):
         max_bits = d - k + 1
@@ -199,7 +215,7 @@ def _eliminate(
                 combined.append(_normalize_row(
                     coeffs, pr + nr, ps or ns, label, pm | nm, (prow, nrow)
                 ))
-        work = _dedup(combined)
+        work = _dedup(combined, split)
     return work, levels
 
 
@@ -248,8 +264,8 @@ def fm_feasible(
     Variables are eliminated by _eliminate, with Chernikov pruning, and a
     consistent system's point is read off by _back_substitute.  Callers
     that need only the answer use _feasible, which skips the
-    back-substitution: is_neighborhood, in_cone, GammaPolyhedron.is_empty
-    and the empty-intersection check of filters.farkas_certify.
+    back-substitution: is_neighborhood, in_cone and
+    GammaPolyhedron.is_empty.
     """
     final, levels = _eliminate(system)
     if not _consistent(final):
@@ -476,6 +492,14 @@ class Flag:
     def __post_init__(self):
         if self.kind not in ("polyhedra", "cones"):
             raise DomainError(f"bad flag kind {self.kind!r}")
+        object.__setattr__(
+            self, "base", tuple([Scalar.coerce(x) for x in self.base])
+        )
+        object.__setattr__(self, "dirs", tuple(
+            tuple([Scalar.coerce(x) for x in v]) for v in self.dirs
+        ))
+        if self.kind == "cones" and not self.base:
+            raise DomainError("a cone flag needs a nonempty base generator")
         d = len(self.base)
         if any(len(v) != d for v in self.dirs):
             raise DimensionError("flag vectors of mixed dimension")
@@ -597,8 +621,12 @@ def relative_interior_matrix(
     generators (a positive combination of all of them)."""
     rows = []
     for gens in cones:
+        if not gens:
+            raise DomainError("cone without generators")
         acc = [Scalar.coerce(x) for x in gens[0]]
         for g in gens[1:]:
+            if len(g) != len(acc):
+                raise DimensionError("generators of mixed dimension")
             acc = [a + Scalar.coerce(x) for a, x in zip(acc, g)]
         rows.append(acc)
     return DefiningMatrix(rows)

@@ -296,6 +296,8 @@ class KernelSubgroup:
         return self.rank == 0
 
     def contains(self, ev: ExponentVector) -> bool:
+        if ev.n != self.n:
+            raise DimensionError(f"vector of length {ev.n} in ℚ x Z^{self.n}")
         coeffs = in_lattice(self.lattice, ev.u)
         if coeffs is None:
             return False

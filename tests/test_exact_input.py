@@ -12,6 +12,7 @@ from valflag import (
     EqualityVerdict,
     ExponentVector,
     FarkasCertificate,
+    Flag,
     GammaPolyhedron,
     IneqSystem,
     KernelSubgroup,
@@ -19,6 +20,7 @@ from valflag import (
     TropPolynomial,
     ValflagError,
     in_cone,
+    relative_interior_matrix,
     simplest_between,
 )
 from valflag.scalars import ONE, exact_int, exact_rational
@@ -61,6 +63,9 @@ READERS = {
     "TropPolynomial exponent": lambda v: TropPolynomial(1, {(v,): 0}),
     "TropPolynomial coefficient": lambda v: TropPolynomial(1, {(1,): v}),
     "KernelSubgroup.member coefficient": lambda v: KernelSubgroup.full(1).member([v]),
+    "Flag base": lambda v: Flag("polyhedra", (v,), ()),
+    "Flag direction": lambda v: Flag("polyhedra", (0,), ((v,),)),
+    "Flag cone generator": lambda v: Flag("cones", (1, 0), ((0, v),)),
     "FarkasCertificate m": lambda v: FarkasCertificate(v, (), Fraction(0)),
     "FarkasCertificate m_l": lambda v: FarkasCertificate(1, (v,), Fraction(0)),
     "FarkasCertificate b": lambda v: FarkasCertificate(1, (), v),
@@ -135,6 +140,8 @@ def test_refusals_of_caller_input_are_domain_errors():
         lambda: KernelSubgroup("other", 1, ((1,),)),
         lambda: EqualityVerdict("Equal", ExponentVector(0, (1,))),
         lambda: FarkasCertificate(0, (), Fraction(0)),
+        lambda: Flag("cones", (), ()),
+        lambda: relative_interior_matrix([[]]),
     ):
         with pytest.raises(DomainError) as info:
             refuse()

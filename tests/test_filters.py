@@ -29,7 +29,9 @@ from valflag import (
     reconstruct_preorder,
 )
 
-from _oracles import random_prime, random_term, ref_farkas_certify
+from valflag import filters, polyhedra
+
+from _oracles import random_prime, random_term, ref_dim, ref_farkas_certify
 
 R2 = Scalar.sqrt(2)
 R3 = Scalar.sqrt(3)
@@ -183,10 +185,37 @@ def test_farkas_seven_term_certificate_is_fast():
 def test_farkas_empty_intersection_rejected():
     with pytest.raises(DomainError):
         farkas_certify([ev("t^1*x"), ev("t^1*x^-1")], ev("t^0"))
-    # x <= 0 and x >= 1 read 0 <= -1; with the target, x > 5 and x <= 0
-    # read the tighter 0 < -5, the contradiction that is kept
+    # x <= 0 and x >= 1 read 0 <= -1.  With the target, x > 5 and x <= 0
+    # read the tighter 0 < -5, but the elimination is split on the target
+    # row and keeps both: the first, built without the target, refuses.
     with pytest.raises(DomainError):
         farkas_certify([ev("x"), ev("t^1*x^-1")], ev("t^-5*x"))
+
+
+def test_farkas_certify_eliminates_once(monkeypatch):
+    # one elimination settles the meet and the containment, on a contained
+    # target, a violated one and an empty meet alike
+    calls = []
+    original = polyhedra._eliminate
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(polyhedra, "_eliminate", counted)
+    monkeypatch.setattr(filters, "_eliminate", counted)
+    rng = random.Random(17)
+    for kind, want in (
+        ("contained", FarkasCertificate),
+        ("violated", CounterexamplePoint),
+        ("empty", type(None)),
+    ):
+        for _ in range(5):
+            constraints, target = _farkas_instance(rng, 3, 5, kind)
+            calls.clear()
+            got = _certify_or_refuse(farkas_certify, constraints, target)
+            assert type(got) is want
+            assert len(calls) == 1
 
 
 def _farkas_instance(rng, n, m, kind, tight=False):
@@ -326,12 +355,28 @@ def test_mindim_witness_needs_cont():
 
 
 def test_mindim_witness_random_primes():
+    # filter_member, which runs is_neighborhood's eliminations, and the
+    # unpruned ref_dim check the witness independently of the flag points
+    # and the one-pass dim() that mindim_witness checks it with
     rng = random.Random(181)
-    for _ in range(25):
-        n = rng.randint(1, 3)
+    for _ in range(30):
+        n = rng.randint(1, 4)
         pr = random_prime(rng, n, cont=True)
         W = mindim_witness(pr)
-        assert W.dim() == min_filter_dim(pr)
+        assert filter_member(pr, W).member
+        assert ref_dim(W) == min_filter_dim(pr)
+
+
+def test_mindim_witness_needs_no_neighborhood_test(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("is_neighborhood called")
+
+    monkeypatch.setattr(filters, "is_neighborhood", refuse)
+    monkeypatch.setattr(polyhedra, "is_neighborhood", refuse)
+    rng = random.Random(182)
+    for _ in range(10):
+        pr = random_prime(rng, rng.randint(1, 4), cont=True)
+        assert mindim_witness(pr).dim() == min_filter_dim(pr)
 
 
 # -- preorder reconstruction ----------------------------------------------------

@@ -27,7 +27,13 @@ from valflag import (
     relative_interior_matrix,
     simplicialize,
 )
-from valflag.polyhedra import _consistent, _eliminate, _feasible, _weights
+from valflag.polyhedra import (
+    _back_substitute,
+    _consistent,
+    _eliminate,
+    _feasible,
+    _weights,
+)
 from valflag.scalars import ONE, ZERO, dot
 
 from _oracles import (
@@ -255,6 +261,50 @@ def test_row_origins_give_exact_multipliers():
                 )
             checked += 1
     assert checked >= 500 and infeasible >= 20
+
+
+def test_split_elimination_keeps_the_subsystem():
+    # Split on the last rows, the rows built without them are those of the
+    # elimination of the other rows alone: the same final rows, labels and
+    # supports.  Every level still describes the whole projection, so the
+    # answer and the sample point are those of the unsplit elimination,
+    # and when only the split rows make the system infeasible, the final
+    # row of their class is a contradiction that uses them.
+    rng = random.Random(59)
+
+    def entry(irrational):
+        r = rng.random()
+        if r < 0.25:
+            return ZERO
+        if irrational and r < 0.4:
+            return random_scalar(rng, irrational_p=1.0)
+        return Scalar.rational(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+
+    by_split_rows = 0
+    for i in range(80):
+        d = rng.randint(1, 4)
+        rows = _random_rows(rng, d, i % 2 == 1, entry, min(10, 40 // d))
+        kept = rng.randint(1, len(rows) - 1)
+        split = (1 << len(rows)) - (1 << kept)
+        final, levels = _eliminate(IneqSystem(d, rows), split)
+        sub_final, _ = _eliminate(IneqSystem(d, rows[:kept]))
+        whole, _ = _eliminate(IneqSystem(d, rows))
+        sides = (
+            [r for r in final if not r[4] & split],
+            [r for r in final if r[4] & split],
+        )
+        assert len(sides[0]) <= 1 and len(sides[1]) <= 1
+        assert [r[:5] for r in sides[0]] == [r[:5] for r in sub_final]
+        assert _consistent(final) == _consistent(whole)
+        if _consistent(final):
+            assert _back_substitute(levels) == fm_feasible(IneqSystem(d, rows))[1]
+        elif _consistent(sides[0]):
+            by_split_rows += 1
+            (row,) = sides[1]
+            assert not _consistent([row])
+            weights = _weights(row, len(rows))
+            assert any(w.sign() > 0 for w in weights[kept:])
+    assert by_split_rows >= 10
 
 
 def test_ineq_system_rejects_bad_rows():
@@ -492,6 +542,19 @@ def test_flag_kind_constraints():
         Flag("cones", (Scalar.rational(-1), ZERO), ())
     with pytest.raises(DimensionError):
         Flag("polyhedra", (ZERO, ZERO), ((Scalar.rational(1),),))
+    with pytest.raises(DomainError):
+        Flag("cones", (), ())
+
+
+def test_flag_reads_its_vectors_exactly():
+    # ints, Fractions and scalar strings become Scalars, so a flag built
+    # from plain numbers drives the neighborhood test
+    F = Flag("polyhedra", (1, "sqrt(2)"), ((Fraction(1, 2), 0),))
+    assert F.base == (Scalar.rational(1), Scalar.sqrt(2))
+    assert F.dirs == ((Scalar.rational(Fraction(1, 2)), ZERO),)
+    box = GammaPolyhedron(2, [((1, 0), 2), ((-1, 0), 0), ((0, 1), 2), ((0, -1), -1)])
+    assert is_neighborhood(box, F)
+    assert is_neighborhood(box, Flag("polyhedra", (1, 2), ()))
 
 
 def test_flag_matrix_round_trip():
@@ -685,3 +748,9 @@ def test_relative_interior_matrix():
         (Scalar.rational(1), ZERO),
         (Scalar.rational(1), Scalar.rational(1)),
     )
+    with pytest.raises(DomainError):
+        relative_interior_matrix([[[1, 0]], []])
+    # ragged generators are refused, not cut to the shorter length
+    for ragged in ([[[1, 0], [1]]], [[[1], [1, 0]]]):
+        with pytest.raises(DimensionError):
+            relative_interior_matrix(ragged)

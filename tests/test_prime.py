@@ -530,6 +530,19 @@ def test_member_refuses_coefficients_of_the_wrong_length():
             H.member(coeffs)
 
 
+def test_contains_refuses_vectors_of_the_wrong_length():
+    # an exponent vector outside ℚ x Z^n is refused, not read as far as
+    # the basis pivots reach
+    for H, u in (
+        (KernelSubgroup.full(2), (1,)),
+        (KernelSubgroup.full(2), (1, 0, 0)),
+        (KernelSubgroup("graph", 2, ((1, 1),), (Fraction(1, 2),)), (1,)),
+        (KernelSubgroup("graph", 1, (), ()), (0, 0)),
+    ):
+        with pytest.raises(DimensionError):
+            H.contains(ExponentVector(Fraction(0), u))
+
+
 # -- final kernel and classification ------------------------------------------
 
 
