@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 from .errors import DimensionError, DomainError
 from .prime import DefiningMatrix, EqualityVerdict, Prime, canonicalize, classify, decide_equal, CONT
 from .linalg import field_rank
-from .scalars import ONE, Scalar, ScalarLike, ZERO, dot, exact_int, exact_rational, simplest_between
+from .scalars import ONE, Scalar, ScalarLike, ZERO, dot, exact_int, exact_rational, exact_vector, simplest_between
 from .tropical import TropPolynomial
 
 Row = tuple[tuple[Scalar, ...], Scalar, bool]
@@ -54,7 +54,7 @@ class IneqSystem:
         rhs: ScalarLike,
         strict: bool = False,
     ) -> None:
-        coeffs = tuple(Scalar.coerce(x) for x in normal)
+        coeffs = exact_vector(normal, "normal")
         if len(coeffs) != self.d:
             raise DimensionError(
                 f"row of length {len(coeffs)} in a {self.d}-variable system"
@@ -342,7 +342,7 @@ class GammaPolyhedron:
         self.n = exact_int(n, "dimension", 0)
         clean = []
         for u, gamma in rows:
-            u = tuple([exact_int(x, "normal entry") for x in u])
+            u = exact_vector(u, "normal", lambda x: exact_int(x, "normal entry"))
             if len(u) != n:
                 raise DimensionError(
                     f"normal of length {len(u)} in dimension {n}"
@@ -357,7 +357,7 @@ class GammaPolyhedron:
         return s
 
     def contains(self, point: Sequence[ScalarLike]) -> bool:
-        p = [Scalar.coerce(x) for x in point]
+        p = exact_vector(point, "point")
         if len(p) != self.n:
             raise DimensionError("point dimension mismatch")
         for u, gamma in self.rows:
@@ -492,11 +492,10 @@ class Flag:
     def __post_init__(self):
         if self.kind not in ("polyhedra", "cones"):
             raise DomainError(f"bad flag kind {self.kind!r}")
-        object.__setattr__(
-            self, "base", tuple([Scalar.coerce(x) for x in self.base])
-        )
-        object.__setattr__(self, "dirs", tuple(
-            tuple([Scalar.coerce(x) for x in v]) for v in self.dirs
+        object.__setattr__(self, "base", exact_vector(self.base, "flag base"))
+        object.__setattr__(self, "dirs", exact_vector(
+            self.dirs, "flag directions",
+            lambda v: exact_vector(v, "flag direction"),
         ))
         if self.kind == "cones" and not self.base:
             raise DomainError("a cone flag needs a nonempty base generator")
@@ -599,6 +598,16 @@ def locally_equivalent(F: Flag, G: Flag) -> EqualityVerdict:
 # -- simplicialization --------------------------------------------------------
 
 
+def _read_generator(g) -> tuple[Scalar, ...]:
+    return exact_vector(g, "generator")
+
+
+def _read_cones(cones) -> tuple[tuple[tuple[Scalar, ...], ...], ...]:
+    return exact_vector(
+        cones, "cones", lambda cone: exact_vector(cone, "cone", _read_generator)
+    )
+
+
 def in_cone(v: Sequence[ScalarLike], generators: Sequence[Sequence[ScalarLike]]) -> bool:
     """Is v a nonnegative combination of the generators?
 
@@ -606,10 +615,10 @@ def in_cone(v: Sequence[ScalarLike], generators: Sequence[Sequence[ScalarLike]])
     ⟨g, y⟩ ≥ 0 for every generator g and ⟨v, y⟩ < 0, so one elimination
     in the ambient variables decides it, with one row per generator.
     """
-    vec = [Scalar.coerce(x) for x in v]
+    vec = exact_vector(v, "vector")
     s = IneqSystem(len(vec))
-    for g in generators:
-        s.add([-Scalar.coerce(x) for x in g], ZERO)
+    for g in exact_vector(generators, "generators", _read_generator):
+        s.add([-x for x in g], ZERO)
     s.add(vec, ZERO, strict=True)
     return not _feasible(s)
 
@@ -620,14 +629,14 @@ def relative_interior_matrix(
     """Matrix with one relative-interior point per cone: the sum of its
     generators (a positive combination of all of them)."""
     rows = []
-    for gens in cones:
+    for gens in _read_cones(cones):
         if not gens:
             raise DomainError("cone without generators")
-        acc = [Scalar.coerce(x) for x in gens[0]]
+        acc = gens[0]
         for g in gens[1:]:
             if len(g) != len(acc):
                 raise DimensionError("generators of mixed dimension")
-            acc = [a + Scalar.coerce(x) for a, x in zip(acc, g)]
+            acc = [a + x for a, x in zip(acc, g)]
         rows.append(acc)
     return DefiningMatrix(rows)
 
@@ -644,11 +653,9 @@ def simplicialize(
     choices.  Those i choices are independent vectors of C_{i-1}, which
     has dimension i, so they span it and ray i lies outside C_{i-1}.
     """
-    if not cones:
+    gens_list = _read_cones(cones)
+    if not gens_list:
         raise DomainError("empty cone list")
-    gens_list = [
-        [[Scalar.coerce(x) for x in g] for g in cone] for cone in cones
-    ]
     if not all(gens_list):
         raise DomainError("cone without generators")
     d = len(gens_list[0][0])

@@ -11,12 +11,12 @@ scaling, adding a multiple of a row to a row below it, dropping zero rows),
 so the canonical matrix defines the same congruence.
 
 decide_equal settles whether two canonical matrices order every term pair
-identically.  It walks both matrices in parallel while shrinking the
-subgroup H of ℚ x Z^n on which all rows seen so far vanish; at each stage
-the two current row functionals must be positively proportional on H, and
-any failure is converted into an explicit witness term on which the two
-lex signs differ.  The recursion terminates because the rank of H drops at
-every stage.
+identically.  It walks A's stages, shrinking the subgroup H of ℚ x Z^n on
+which A's rows seen so far vanish, and reads B's rows against each stage's
+H; at each stage the two row functionals must be positively proportional
+on H, and any failure is converted into an explicit witness term on which
+the two lex signs differ.  The walk terminates because the rank of H drops
+at every stage.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from .errors import DimensionError, DomainError
 from .linalg import hermite_form, in_lattice, independent_rows, integer_kernel
-from .scalars import Scalar, ScalarLike, dot, exact_int, rational_part_basis, simplest_between
+from .scalars import Scalar, ScalarLike, dot, exact_int, exact_vector, rational_part_basis, simplest_between
 from .tropical import NEG_INF, ExponentVector, TropPolynomial
 
 LESS, EQUAL, GREATER = "less", "equal", "greater"
@@ -52,8 +52,8 @@ class DefiningMatrix:
         rows: Sequence[Sequence[ScalarLike]],
         n: Optional[int] = None,
     ):
-        self.rows = tuple(
-            tuple(Scalar.coerce(x) for x in row) for row in rows
+        self.rows = exact_vector(
+            rows, "matrix", lambda row: exact_vector(row, "matrix row")
         )
         if self.rows:
             width = len(self.rows[0])
@@ -184,28 +184,20 @@ def canonicalize(matrix: DefiningMatrix | Sequence[Sequence[ScalarLike]]) -> Pri
     row operations.  The first row with a nonzero coefficient entry keeps
     its lead there, positive by the first-column check, so it becomes 1 and
     the coefficient column is cleared below it.
+
+    The result is the normal form under those operations: they generate
+    the lower-triangular positive-diagonal transformations, whose complete
+    invariant is the chain of leading row spans together with each row's
+    positive ray modulo the span above it, and greedy top-down reduction
+    with leads normalized to ±1 computes exactly that.  So two full-rank
+    matrices are mutually reachable by the operations exactly when their
+    canonical primes are ==.
     """
     if not isinstance(matrix, DefiningMatrix):
         matrix = DefiningMatrix(matrix)
     if not matrix.first_column_ok():
         raise DomainError("invalid matrix: first column lexicographically < 0")
     return Prime(DefiningMatrix(independent_rows(matrix.rows), n=matrix.n))
-
-
-def row_op_normal_form(
-    matrix: DefiningMatrix | Sequence[Sequence[ScalarLike]],
-) -> DefiningMatrix:
-    """Normal form under the order-preserving row operations.
-
-    Two full-rank matrices are mutually reachable by those operations
-    exactly when their normal forms coincide entrywise: the operations
-    generate the lower-triangular positive-diagonal transformations, whose
-    complete invariant is the chain of leading row spans together with
-    each row's positive ray modulo the span above it, and greedy top-down
-    reduction with positive leading-entry normalization computes exactly
-    that.
-    """
-    return canonicalize(matrix).matrix
 
 
 # -- the Phi map and comparisons -------------------------------------------
@@ -275,6 +267,13 @@ class KernelSubgroup:
             raise DomainError("one ell value per basis row")
         if any(len(row) != self.n for row in self.lattice):
             raise DomainError("lattice rows must have length n")
+        # the staircase of hermite_form, which in_lattice reads
+        last = -1
+        for row in self.lattice:
+            lead = next((c for c, x in enumerate(row) if x), None)
+            if lead is None or lead <= last or row[lead] < 0:
+                raise DomainError("lattice rows need positive leads in increasing columns")
+            last = lead
 
     @classmethod
     def full(cls, n: int) -> "KernelSubgroup":
@@ -312,7 +311,9 @@ class KernelSubgroup:
         """The member with the given basis coefficients; product kind takes
         an explicit gamma (default 0), graph kind computes it and refuses
         one."""
-        coeffs = [exact_int(a, "basis coefficient") for a in coeffs]
+        coeffs = exact_vector(
+            coeffs, "basis coefficients", lambda a: exact_int(a, "basis coefficient")
+        )
         if len(coeffs) != len(self.lattice):
             raise DimensionError(
                 f"{len(coeffs)} coefficients for a basis of {len(self.lattice)}"
@@ -345,19 +346,6 @@ def _effective_row(row: Sequence[Scalar], H: KernelSubgroup):
     if not c and not any(values):
         return None
     return c, values
-
-
-def _next_effective(
-    rows: Sequence[Sequence[Scalar]], i: int, H: KernelSubgroup
-):
-    """(i', restriction) for the first row i' >= i that does not vanish on
-    H, or (len(rows), None) when every remaining row does."""
-    while i < len(rows):
-        eff = _effective_row(rows[i], H)
-        if eff is not None:
-            return i, eff
-        i += 1
-    return i, None
 
 
 def _lattice_restrict(
@@ -408,14 +396,25 @@ def _restrict(
     return KernelSubgroup("graph", H.n, basis, ell)
 
 
-def final_kernel(P: Prime) -> KernelSubgroup:
-    """The subgroup {w in ℚ x Z^n : C·w = 0}: run the row recursion of a
-    single matrix to exhaustion."""
+def _stages(P: Prime):
+    """The kernel recursion of one matrix.
+
+    Yields (H, (c, values)) for each row that does not vanish on the H left
+    by the rows before it, restricted to that H, and then (final H, None).
+    """
     H = KernelSubgroup.full(P.n)
     for row in P.matrix.rows:
         eff = _effective_row(row, H)
         if eff is not None:
+            yield H, eff
             H = _restrict(H, *eff)
+    yield H, None
+
+
+def final_kernel(P: Prime) -> KernelSubgroup:
+    """The subgroup {w in ℚ x Z^n : C·w = 0}: the last H of the stages."""
+    for H, _ in _stages(P):
+        pass
     return H
 
 
@@ -565,12 +564,10 @@ def decide_equal(A: Prime, B: Prime) -> EqualityVerdict:
         raise DomainError("decide_equal takes canonical matrices (Prime)")
     if A.n != B.n:
         raise DimensionError(f"primes on {A.n} and {B.n} variables")
-    H = KernelSubgroup.full(A.n)
-    i = j = 0
-    rows_a, rows_b = A.matrix.rows, B.matrix.rows
-    while True:
-        i, eff_a = _next_effective(rows_a, i, H)
-        j, eff_b = _next_effective(rows_b, j, H)
+    rows_b = iter(B.matrix.rows)
+    for H, eff_a in _stages(A):
+        # a row of B that vanishes on H vanishes on every later, smaller H
+        eff_b = next(filter(None, (_effective_row(r, H) for r in rows_b)), None)
         if eff_a is None and eff_b is None:
             return EqualityVerdict("Equal")
         if eff_a is None or eff_b is None:
@@ -596,9 +593,6 @@ def decide_equal(A: Prime, B: Prime) -> EqualityVerdict:
         elif not _positively_proportional(ga, gb):
             w = _covector_disagreement_witness(A, B, H, ga, gb)
             return _distinguished(A, B, w)
-        H = _restrict(H, ca, ga)
-        i += 1
-        j += 1
 
 
 # -- classification -----------------------------------------------------------

@@ -33,7 +33,7 @@ import itertools
 import math
 import os
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import CapacityError, DomainError, ParseError
 
@@ -111,6 +111,20 @@ def exact_rational(q: RationalLike, what: str) -> Fraction:
     if isinstance(q, bool) or not isinstance(q, int):
         raise DomainError(f"{what} must be an int or a Fraction, got {q!r}")
     return Fraction(q)
+
+
+def exact_vector(v: Iterable, what: str, read: Optional[Callable] = None) -> tuple:
+    """v's entries as a tuple, each read by read (Scalar.coerce by default);
+    DomainError for a str, bytes or non-iterable, none of which is a vector.
+    """
+    if isinstance(v, (str, bytes)):
+        raise DomainError(f"{what} must be a sequence, got {v!r}")
+    try:
+        entries = iter(v)
+    except TypeError:
+        raise DomainError(f"{what} must be a sequence, got {v!r}") from None
+    read = read or Scalar.coerce
+    return tuple([read(x) for x in entries])
 
 
 def squarefree_split(n: int) -> tuple[int, int]:

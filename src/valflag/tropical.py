@@ -17,9 +17,13 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DimensionError, DomainError, ParseError
-from .scalars import ONE, RationalLike, Scalar, _Cursor, _parse_int, _parse_rational, dot, exact_int, exact_rational
+from .scalars import ONE, RationalLike, Scalar, _Cursor, _parse_int, _parse_rational, dot, exact_int, exact_rational, exact_vector
 
 NEG_INF = float("-inf")
+
+
+def _exponents(u) -> tuple[int, ...]:
+    return exact_vector(u, "exponent vector", lambda e: exact_int(e, "exponent"))
 
 
 @dataclass(frozen=True)
@@ -34,7 +38,7 @@ class ExponentVector:
         object.__setattr__(
             self, "gamma", exact_rational(self.gamma, "coefficient exponent")
         )
-        object.__setattr__(self, "u", tuple([exact_int(e, "exponent") for e in self.u]))
+        object.__setattr__(self, "u", _exponents(self.u))
 
     @property
     def n(self) -> int:
@@ -77,7 +81,7 @@ class TropPolynomial:
         clean: dict[tuple[int, ...], Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for u, gamma in items:
-            u = tuple([exact_int(e, "exponent") for e in u])
+            u = _exponents(u)
             if len(u) != self.n:
                 raise DimensionError(
                     f"exponent {u} has length {len(u)}, expected {self.n}"
@@ -101,7 +105,8 @@ class TropPolynomial:
 
     @classmethod
     def term(cls, gamma: RationalLike, u: Sequence[int]) -> "TropPolynomial":
-        return cls(len(u), {tuple(u): gamma})
+        u = _exponents(u)
+        return cls(len(u), {u: gamma})
 
     @classmethod
     def from_exponent(cls, ev: ExponentVector) -> "TropPolynomial":

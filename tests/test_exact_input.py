@@ -1,6 +1,7 @@
 """Every public name that reads an exact value refuses an inexact one with a
 ValflagError: a bool, a float, None, and a string wherever the scalar
-grammar does not read one (where it does, "1.5" is a ParseError)."""
+grammar does not read one (where it does, "1.5" is a ParseError).  Where a
+vector is expected, an int or a string is refused with a DomainError."""
 
 from fractions import Fraction
 
@@ -22,8 +23,9 @@ from valflag import (
     in_cone,
     relative_interior_matrix,
     simplest_between,
+    simplicialize,
 )
-from valflag.scalars import ONE, exact_int, exact_rational
+from valflag.scalars import ONE, exact_int, exact_rational, exact_vector
 
 BAD = (True, 1.5, None, "1.5")
 
@@ -73,6 +75,30 @@ READERS = {
     "simplest_between high": lambda v: simplest_between(0, v),
 }
 
+# where a vector is expected, an int is no vector, and a string is not read
+# one character per entry
+NOT_A_VECTOR = {
+    "DefiningMatrix rows": lambda v: DefiningMatrix(v),
+    "DefiningMatrix row": lambda v: DefiningMatrix([v]),
+    "IneqSystem.add normal": lambda v: IneqSystem(2).add(v, 0),
+    "GammaPolyhedron normal": lambda v: GammaPolyhedron(2, [(v, 0)]),
+    "GammaPolyhedron.contains": lambda v: GammaPolyhedron(2).contains(v),
+    "Flag base": lambda v: Flag("polyhedra", v, ()),
+    "Flag directions": lambda v: Flag("polyhedra", (0, 0), v),
+    "Flag direction": lambda v: Flag("polyhedra", (0, 0), (v,)),
+    "ExponentVector u": lambda v: ExponentVector(0, v),
+    "TropPolynomial exponent": lambda v: TropPolynomial(2, {v: 0}),
+    "TropPolynomial.term": lambda v: TropPolynomial.term(0, v),
+    "KernelSubgroup.member": lambda v: KernelSubgroup.full(2).member(v),
+    "in_cone vector": lambda v: in_cone(v, [(1, 0)]),
+    "in_cone generators": lambda v: in_cone((1, 0), v),
+    "in_cone generator": lambda v: in_cone((1, 0), [v]),
+    "relative_interior_matrix cones": lambda v: relative_interior_matrix(v),
+    "relative_interior_matrix generator": lambda v: relative_interior_matrix([[v]]),
+    "simplicialize cones": lambda v: simplicialize(v),
+    "simplicialize generator": lambda v: simplicialize([[v]]),
+}
+
 # readers for which one of BAD is a valid value: None is the default gamma
 # of a product-kind member, and True a strict flag
 OTHER_BAD = {
@@ -114,10 +140,25 @@ def test_inexact_value_is_refused_with_a_valflag_error(read, value):
         read(value)
 
 
+@pytest.mark.parametrize(
+    "read, value",
+    [
+        pytest.param(read, value, id=f"{name}-{value!r}")
+        for name, read in NOT_A_VECTOR.items()
+        for value in (5, "12")
+    ],
+)
+def test_non_vector_is_refused_with_a_domain_error(read, value):
+    with pytest.raises(DomainError):
+        read(value)
+
+
 def test_readers_keep_exact_values():
     assert exact_int(-3, "x") == -3
     assert exact_rational(2, "x") == Fraction(2)
     assert exact_rational(Fraction(1, 3), "x") == Fraction(1, 3)
+    assert exact_vector(range(2), "x", lambda e: exact_int(e, "e")) == (0, 1)
+    assert exact_vector(iter(["1/2"]), "x") == (Scalar.rational(Fraction(1, 2)),)
     for value in (True, 1.5, None, "1", Fraction(1)):
         with pytest.raises(DomainError):
             exact_int(value, "x")
@@ -138,6 +179,9 @@ def test_refusals_of_caller_input_are_domain_errors():
         lambda: IneqSystem(-2),
         lambda: DefiningMatrix([], n=-3),
         lambda: KernelSubgroup("other", 1, ((1,),)),
+        lambda: KernelSubgroup("product", 2, ((0, 0),)),
+        lambda: KernelSubgroup("product", 2, ((1, 0), (1, 1))),
+        lambda: KernelSubgroup("product", 2, ((-1, 0),)),
         lambda: EqualityVerdict("Equal", ExponentVector(0, (1,))),
         lambda: FarkasCertificate(0, (), Fraction(0)),
         lambda: Flag("cones", (), ()),
