@@ -147,10 +147,11 @@ def independent_rows(rows: Iterable[Sequence]) -> list[list]:
     row's lead column is cleared by subtracting that row, and since a kept
     lead is ±1 the factor is the entry signed by the lead.  A row that
     reduces to zero is dropped; a survivor is scaled by one inverse of the
-    absolute value of its lead, so its lead becomes ±1.  Every kept row is
-    zero at the lead columns of the rows kept before it, so the reduction
-    leaves the one element of row + span(kept) that is zero at all of them,
-    the same vector that reducing against a full RREF gives.
+    absolute value of its lead, so its lead becomes ±1.  A lead already at
+    ±1 is kept unscaled, and zero entries are not multiplied.  Every kept
+    row is zero at the lead columns of the rows kept before it, so the
+    reduction leaves the one element of row + span(kept) that is zero at
+    all of them, the same vector that reducing against a full RREF gives.
     """
     kept: list[list] = []
     leads: list[tuple[int, bool]] = []  # (column, lead is -1)
@@ -166,8 +167,10 @@ def independent_rows(rows: Iterable[Sequence]) -> list[list]:
         if c is None:
             continue
         negative = out[c] < 0
-        inv = 1 / (-out[c] if negative else out[c])
-        kept.append([x * inv for x in out])
+        if out[c] != (-1 if negative else 1):
+            inv = 1 / (-out[c] if negative else out[c])
+            out = [x * inv if x else x for x in out]
+        kept.append(out)
         leads.append((c, negative))
     return kept
 

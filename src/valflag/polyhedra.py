@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 from .errors import DimensionError, DomainError
 from .prime import DefiningMatrix, EqualityVerdict, Prime, canonicalize, classify, decide_equal, CONT
 from .linalg import field_rank
-from .scalars import ONE, Scalar, ScalarLike, ZERO, dot, exact_int, exact_rational, exact_vector, simplest_between
+from .scalars import ONE, Scalar, ScalarLike, ZERO, dot, exact_fields, exact_int, exact_rational, exact_vector, simplest_between
 from .tropical import TropPolynomial
 
 Row = tuple[tuple[Scalar, ...], Scalar, bool]
@@ -45,8 +45,8 @@ class IneqSystem:
     def __init__(self, d: int, rows: Sequence[Row] = ()):
         self.d = exact_int(d, "variable count", 0)
         self.rows: list[Row] = []
-        for normal, rhs, strict in rows:
-            self.add(normal, rhs, strict)
+        for row in rows:
+            self.add(*exact_fields(row, 3, "system row (normal, rhs, strict)"))
 
     def add(
         self,
@@ -341,7 +341,8 @@ class GammaPolyhedron:
     ):
         self.n = exact_int(n, "dimension", 0)
         clean = []
-        for u, gamma in rows:
+        for row in rows:
+            u, gamma = exact_fields(row, 2, "polyhedron row (normal, bound)")
             u = exact_vector(u, "normal", lambda x: exact_int(x, "normal entry"))
             if len(u) != n:
                 raise DimensionError(

@@ -11,12 +11,13 @@ scaling, adding a multiple of a row to a row below it, dropping zero rows),
 so the canonical matrix defines the same congruence.
 
 decide_equal settles whether two canonical matrices order every term pair
-identically.  It walks A's stages, shrinking the subgroup H of ℚ x Z^n on
-which A's rows seen so far vanish, and reads B's rows against each stage's
-H; at each stage the two row functionals must be positively proportional
-on H, and any failure is converted into an explicit witness term on which
-the two lex signs differ.  The walk terminates because the rank of H drops
-at every stage.
+identically.  Equal normal forms are row-operation equivalent, so they
+answer Equal at once.  Otherwise it walks A's stages, shrinking the
+subgroup H of ℚ x Z^n on which A's rows seen so far vanish, and reads B's
+rows against each stage's H; at each stage the two row functionals must be
+positively proportional on H, and any failure is converted into an
+explicit witness term on which the two lex signs differ.  The walk
+terminates because the rank of H drops at every stage.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Optional, Sequence
 
 from .errors import DimensionError, DomainError
 from .linalg import hermite_form, in_lattice, independent_rows, integer_kernel
-from .scalars import Scalar, ScalarLike, dot, exact_int, exact_vector, rational_part_basis, simplest_between
+from .scalars import Scalar, ScalarLike, dot, exact_int, exact_rational, exact_vector, rational_part_basis, simplest_between
 from .tropical import NEG_INF, ExponentVector, TropPolynomial
 
 LESS, EQUAL, GREATER = "less", "equal", "greater"
@@ -263,6 +264,16 @@ class KernelSubgroup:
             raise DomainError(f"bad kernel kind {self.kind!r}")
         if (self.ell is not None) != (self.kind == "graph"):
             raise DomainError("ell is stored exactly for graph kind")
+        object.__setattr__(self, "n", exact_int(self.n, "kernel dimension", 0))
+        object.__setattr__(self, "lattice", exact_vector(
+            self.lattice, "lattice basis", lambda row: exact_vector(
+                row, "lattice row", lambda x: exact_int(x, "lattice entry")
+            ),
+        ))
+        if self.ell is not None:
+            object.__setattr__(self, "ell", exact_vector(
+                self.ell, "ell", lambda q: exact_rational(q, "ell value")
+            ))
         if self.ell is not None and len(self.ell) != len(self.lattice):
             raise DomainError("one ell value per basis row")
         if any(len(row) != self.n for row in self.lattice):
@@ -558,12 +569,16 @@ def decide_equal(A: Prime, B: Prime) -> EqualityVerdict:
 
     Equal means sign_lex(A·w) = sign_lex(B·w) for every w in ℚ x Z^n;
     Distinguished returns a witness w where the signs differ, re-checked
-    against both full matrices before it is returned.
+    against both full matrices before it is returned.  A == B answers Equal
+    at once: equal normal forms are reachable by row operations, which keep
+    every lex sign.  Other pairs walk the kernel stages.
     """
     if not isinstance(A, Prime) or not isinstance(B, Prime):
         raise DomainError("decide_equal takes canonical matrices (Prime)")
     if A.n != B.n:
         raise DimensionError(f"primes on {A.n} and {B.n} variables")
+    if A == B:
+        return EqualityVerdict("Equal")
     rows_b = iter(B.matrix.rows)
     for H, eff_a in _stages(A):
         # a row of B that vanishes on H vanishes on every later, smaller H

@@ -24,7 +24,8 @@ read only when that OR holds a prime that each operand lacks.
 
 Arithmetic results are built already reduced (squarefree keys, nonzero
 ``Fraction`` coefficients) and skip the reduction that ``Scalar(terms)``
-applies to arbitrary input.
+applies to arbitrary input.  Since a scalar is immutable, a sum with a zero
+addend and a scale by 1 return the other operand itself.
 """
 
 from __future__ import annotations
@@ -125,6 +126,15 @@ def exact_vector(v: Iterable, what: str, read: Optional[Callable] = None) -> tup
         raise DomainError(f"{what} must be a sequence, got {v!r}") from None
     read = read or Scalar.coerce
     return tuple([read(x) for x in entries])
+
+
+def exact_fields(row: Iterable, count: int, what: str) -> tuple:
+    """row's entries as a tuple of exactly count; DomainError naming the
+    row when it is not a sequence of count entries."""
+    fields = exact_vector(row, what, lambda x: x)
+    if len(fields) != count:
+        raise DomainError(f"{what} must have {count} entries, got {row!r}")
+    return fields
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
@@ -246,6 +256,10 @@ class Scalar:
 
     def __add__(self, other: ScalarLike) -> "Scalar":
         other = Scalar.coerce(other)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         merged = dict(self._terms)
         for n, q in other._terms.items():
             if n in merged:
@@ -319,6 +333,8 @@ class Scalar:
     def _scale(self, q: RationalLike) -> "Scalar":
         if not q:
             return ZERO
+        if q == 1:
+            return self
         return Scalar._reduced(
             {n: c * q for n, c in self._terms.items()}, self._primes
         )

@@ -65,6 +65,9 @@ READERS = {
     "TropPolynomial exponent": lambda v: TropPolynomial(1, {(v,): 0}),
     "TropPolynomial coefficient": lambda v: TropPolynomial(1, {(1,): v}),
     "KernelSubgroup.member coefficient": lambda v: KernelSubgroup.full(1).member([v]),
+    "KernelSubgroup n": lambda v: KernelSubgroup("product", v, ()),
+    "KernelSubgroup lattice entry": lambda v: KernelSubgroup("product", 1, ((v,),)),
+    "KernelSubgroup ell value": lambda v: KernelSubgroup("graph", 1, ((1,),), (v,)),
     "Flag base": lambda v: Flag("polyhedra", (v,), ()),
     "Flag direction": lambda v: Flag("polyhedra", (0,), ((v,),)),
     "Flag cone generator": lambda v: Flag("cones", (1, 0), ((0, v),)),
@@ -90,6 +93,9 @@ NOT_A_VECTOR = {
     "TropPolynomial exponent": lambda v: TropPolynomial(2, {v: 0}),
     "TropPolynomial.term": lambda v: TropPolynomial.term(0, v),
     "KernelSubgroup.member": lambda v: KernelSubgroup.full(2).member(v),
+    "KernelSubgroup lattice": lambda v: KernelSubgroup("product", 2, v),
+    "KernelSubgroup lattice row": lambda v: KernelSubgroup("product", 2, (v,)),
+    "KernelSubgroup ell": lambda v: KernelSubgroup("graph", 1, ((1,),), v),
     "in_cone vector": lambda v: in_cone(v, [(1, 0)]),
     "in_cone generators": lambda v: in_cone((1, 0), v),
     "in_cone generator": lambda v: in_cone((1, 0), [v]),
@@ -118,6 +124,17 @@ NEGATIVE = {
     "IneqSystem d": lambda v: IneqSystem(v),
     "DefiningMatrix n": lambda v: DefiningMatrix([], n=v),
     "TropPolynomial n": lambda v: TropPolynomial(v),
+    "KernelSubgroup n": lambda v: KernelSubgroup("product", v, ()),
+}
+
+# row lists whose entries are not (normal, bound), (normal, rhs, strict) or
+# (exponent, coefficient exponent) rows
+NOT_A_ROW = {
+    "GammaPolyhedron": (
+        lambda row: GammaPolyhedron(2, [row]), (5, ((1, 0),), ((1, 0), 0, 0))
+    ),
+    "IneqSystem": (lambda row: IneqSystem(2, [row]), (5, ((1, 0), 0), "abc")),
+    "TropPolynomial": (lambda row: TropPolynomial(2, [row]), (5, ((1, 0),), "ab")),
 }
 
 CASES = [
@@ -153,6 +170,20 @@ def test_non_vector_is_refused_with_a_domain_error(read, value):
         read(value)
 
 
+@pytest.mark.parametrize(
+    "read, row",
+    [
+        pytest.param(read, row, id=f"{name}-{row!r}")
+        for name, (read, rows) in NOT_A_ROW.items()
+        for row in rows
+    ],
+)
+def test_row_that_is_not_a_tuple_of_fields_is_refused_naming_it(read, row):
+    with pytest.raises(DomainError) as info:
+        read(row)
+    assert repr(row) in str(info.value)
+
+
 def test_readers_keep_exact_values():
     assert exact_int(-3, "x") == -3
     assert exact_rational(2, "x") == Fraction(2)
@@ -165,6 +196,8 @@ def test_readers_keep_exact_values():
     # equality is no reader: it answers, also for a bool
     assert Scalar.rational(1) == True and Scalar.sqrt(2) != 1.5  # noqa: E712
     IneqSystem(1).add([1], 0, strict=True)
+    H = KernelSubgroup("graph", 1, [[2]], [1])
+    assert H.lattice == ((2,),) and H.ell == (Fraction(1),)
 
 
 def test_refusals_of_caller_input_are_domain_errors():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -167,14 +168,32 @@ def _echelon_cases(rng):
         yield rows
 
 
+def _unit_lead_cases(rng):
+    """The cases of _echelon_cases with zero entries put in and most rows
+    divided by the absolute value of their lead, so that leads already at
+    ±1 and zero entries reach independent_rows as they are."""
+    for rows in _echelon_cases(rng):
+        out = []
+        for row in rows:
+            row = [x * 0 if rng.random() < 0.3 else x for x in row]
+            lead = next((x for x in row if x), None)
+            if lead is not None and rng.random() < 0.7:
+                row = [x / (-lead if lead < 0 else lead) for x in row]
+            out.append(row)
+        yield out
+
+
 def test_echelon_agrees_with_rref_oracle():
     """independent_rows, field_rank and canonicalize against full RREF
-    rebuilds."""
+    rebuilds, on Fraction and Scalar rows; entries keep their type."""
     rng = random.Random(13)
-    negative_leads = 0
-    for rows in _echelon_cases(rng):
+    negative_leads = unit_leads = 0
+    for rows in itertools.chain(_echelon_cases(rng), _unit_lead_cases(random.Random(14))):
         kept = independent_rows(rows)
-        assert kept == ref_independent_rows(rows)
+        want = ref_independent_rows(rows)
+        assert kept == want
+        assert [list(map(type, r)) for r in kept] == [list(map(type, r)) for r in want]
+        unit_leads += sum(next((x for x in r if x), 0) in (1, -1) for r in rows)
         assert field_rank(rows) == len(kept) == ref_rank(rows)
         negative_leads += any(next(x for x in r if x) < 0 for r in kept)
         # make the coefficient column lexicographically nonnegative
@@ -183,4 +202,4 @@ def test_echelon_agrees_with_rref_oracle():
             rows[i] = [-x for x in rows[i]]
         M = DefiningMatrix(rows)
         assert canonicalize(M).matrix == ref_canonicalize(M)
-    assert negative_leads > 50
+    assert negative_leads > 50 and unit_leads > 300

@@ -34,6 +34,7 @@ from valflag import (
     parse_poly,
     phi,
 )
+from valflag import prime as prime_module
 
 from _oracles import (
     grid_exponents,
@@ -453,6 +454,35 @@ def test_decide_equal_accepts_row_transformed():
         A = random_prime(rng, rng.randint(1, 3))
         B = canonicalize(transform_rows(rng, A.matrix))
         assert decide_equal(A, B).equal
+
+
+def test_equal_normal_forms_answer_without_the_stage_walk(monkeypatch):
+    """== primes are Equal before any stage is walked; primes equal only
+    beyond row operations (criterion 1's kind) still walk the stages."""
+    rng = random.Random(92)
+    pairs = []
+    for _ in range(40):
+        A = random_prime(rng, rng.randint(1, 3))
+        pairs.append((A, canonicalize(transform_rows(rng, A.matrix))))
+
+    def no_walk(P):
+        raise AssertionError("stage walk entered for == primes")
+
+    stages = prime_module._stages
+    monkeypatch.setattr(prime_module, "_stages", no_walk)
+    for A, B in pairs:
+        assert A == B
+        assert decide_equal(A, B) == decide_equal(B, A) == EqualityVerdict("Equal")
+
+    walked = []
+    monkeypatch.setattr(
+        prime_module, "_stages", lambda P: walked.append(P) or stages(P)
+    )
+    A = P([1, R2, 0], [0, 1, R3])
+    B = P([1, R2, 0], [0, 0, 1])
+    assert A != B
+    assert decide_equal(A, B).equal and decide_equal(B, A).equal
+    assert walked == [A, B]
 
 
 def test_equal_verdicts_survive_grid_search():

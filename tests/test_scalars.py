@@ -251,6 +251,14 @@ def test_arithmetic_agrees_with_reducing_oracle():
             (-a, ref_neg(a)),
             (a._scale(q), ref_scale(a, q)),
             (a._scale(q.numerator), ref_scale(a, Fraction(q.numerator))),
+            # a zero addend and a unit scale return the other operand
+            (a + ZERO, ref_add(a, ZERO)),
+            (ZERO + a, ref_add(ZERO, a)),
+            (0 + a, ref_add(ZERO, a)),
+            (a - ZERO, ref_sub(a, ZERO)),
+            (sum([a]), ref_add(ZERO, a)),
+            (a._scale(1), ref_scale(a, Fraction(1))),
+            (a._scale(Fraction(1)), ref_scale(a, Fraction(1))),
         ]
         if b:
             pairs.append((a / b, ref_div(a, b)))
