@@ -40,7 +40,7 @@ from .prime import (
     classify,
     final_kernel,
 )
-from .scalars import Scalar, dot, exact_int, exact_rational
+from .scalars import Scalar, dot, exact_int, exact_rational, exact_vector
 from .tropical import ExponentVector
 
 
@@ -68,8 +68,9 @@ class FarkasCertificate:
 
     def __post_init__(self):
         exact_int(self.m, "m", 1)
-        for x in self.m_l:
-            exact_int(x, "m_l entry", 0)
+        object.__setattr__(self, "m_l", exact_vector(
+            self.m_l, "m_l", lambda x: exact_int(x, "m_l entry", 0)
+        ))
         if exact_rational(self.b, "b") < 0:
             raise DomainError("b must be nonnegative")
 

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 from .errors import DimensionError, DomainError
 from .prime import DefiningMatrix, EqualityVerdict, Prime, canonicalize, classify, decide_equal, CONT
 from .linalg import field_rank
-from .scalars import ONE, Scalar, ScalarLike, ZERO, dot, exact_fields, exact_int, exact_rational, exact_vector, simplest_between
+from .scalars import ONE, Scalar, ScalarLike, ZERO, dot, exact_int, exact_rational, exact_rows, exact_vector, simplest_between
 from .tropical import TropPolynomial
 
 Row = tuple[tuple[Scalar, ...], Scalar, bool]
@@ -45,8 +45,8 @@ class IneqSystem:
     def __init__(self, d: int, rows: Sequence[Row] = ()):
         self.d = exact_int(d, "variable count", 0)
         self.rows: list[Row] = []
-        for row in rows:
-            self.add(*exact_fields(row, 3, "system row (normal, rhs, strict)"))
+        for row in exact_rows(rows, 3, "system row (normal, rhs, strict)"):
+            self.add(*row)
 
     def add(
         self,
@@ -341,8 +341,7 @@ class GammaPolyhedron:
     ):
         self.n = exact_int(n, "dimension", 0)
         clean = []
-        for row in rows:
-            u, gamma = exact_fields(row, 2, "polyhedron row (normal, bound)")
+        for u, gamma in exact_rows(rows, 2, "polyhedron row (normal, bound)"):
             u = exact_vector(u, "normal", lambda x: exact_int(x, "normal entry"))
             if len(u) != n:
                 raise DimensionError(
@@ -409,13 +408,19 @@ class GammaPolyhedron:
         return f"GammaPolyhedron(n={self.n}, rows={list(self.rows)!r})"
 
 
+def _polyhedron(piece) -> GammaPolyhedron:
+    if not isinstance(piece, GammaPolyhedron):
+        raise DomainError(f"a polyhedral set piece must be a GammaPolyhedron, got {piece!r}")
+    return piece
+
+
 class GammaPolyhedralSet:
     """Finite union of Γ-rational polyhedra in a common ambient space."""
 
     __slots__ = ("n", "pieces")
 
     def __init__(self, pieces: Sequence[GammaPolyhedron]):
-        pieces = tuple(pieces)
+        pieces = exact_vector(pieces, "polyhedral set pieces", _polyhedron)
         if not pieces:
             raise DomainError("a polyhedral set needs at least one piece")
         n = pieces[0].n

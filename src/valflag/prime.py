@@ -15,9 +15,11 @@ identically.  Equal normal forms are row-operation equivalent, so they
 answer Equal at once.  Otherwise it walks A's stages, shrinking the
 subgroup H of ℚ x Z^n on which A's rows seen so far vanish, and reads B's
 rows against each stage's H; at each stage the two row functionals must be
-positively proportional on H, and any failure is converted into an
-explicit witness term on which the two lex signs differ.  The walk
-terminates because the rank of H drops at every stage.
+positively proportional on H.  The walk terminates because the rank of H
+drops at every stage.  A stage that disagrees has one witness rule: on H's
+generators (the coefficient direction t first in product kind, then the
+lattice basis) try ±e_d in order, else a point of the open cone where the
+two row covectors take opposite signs.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Optional, Sequence
 
 from .errors import DimensionError, DomainError
 from .linalg import hermite_form, in_lattice, independent_rows, integer_kernel
-from .scalars import Scalar, ScalarLike, dot, exact_int, exact_rational, exact_vector, rational_part_basis, simplest_between
+from .scalars import ZERO, Scalar, ScalarLike, dot, exact_int, exact_rational, exact_vector, rational_part_basis, simplest_between
 from .tropical import NEG_INF, ExponentVector, TropPolynomial
 
 LESS, EQUAL, GREATER = "less", "equal", "greater"
@@ -459,93 +461,86 @@ def _distinguished(A: Prime, B: Prime, w: ExponentVector) -> EqualityVerdict:
     return EqualityVerdict("Distinguished", w)
 
 
-def _unit(H: KernelSubgroup, d: int, sign: int) -> list[int]:
-    """Basis coefficients of ±(basis vector d) of H's lattice."""
-    return [sign if i == d else 0 for i in range(H.lattice_rank)]
+def _covector(H: KernelSubgroup, eff) -> list[Scalar]:
+    """A stage row (c, values), or None, as a covector on H's generators:
+    the coefficient direction (1, 0), then the lattice basis, in product
+    kind; the lattice basis alone in graph kind, where c is 0
+    (_effective_row).  None is the zero covector."""
+    if eff is None:
+        return [ZERO] * H.rank
+    c, values = eff
+    return [c, *values] if H.kind == "product" else values
 
 
-def _one_sided_witness(
-    H: KernelSubgroup, values: list[Scalar]
-) -> ExponentVector:
-    """A member of H on which the remaining effective row is nonzero."""
-    d = next((d for d, v in enumerate(values) if v), None)
-    if d is None:
-        # only the coefficient entry is nonzero, so H is of product kind
-        return ExponentVector(Fraction(1), (0,) * H.n)
-    return H.member(_unit(H, d, 1))
-
-
-def _mixed_case_witness(
-    H: KernelSubgroup, vals_pos: list[Scalar], vals_zero: list[Scalar]
-) -> ExponentVector:
-    """Product kind, one coefficient entry 1 and the other 0.
-
-    Pick a basis vector on which the zero-coefficient side is strictly
-    negative and a rational gamma > -value_pos, so that the side with
-    coefficient entry 1 reads gamma + value_pos > 0; the two lex signs are
-    then -1 and +1.
-    """
-    d = next(i for i, v in enumerate(vals_zero) if v)
-    flip = vals_zero[d].sign() > 0
-    value_pos = -vals_pos[d] if flip else vals_pos[d]
-    gamma = Fraction((-value_pos).floor() + 1)
-    return H.member(_unit(H, d, -1 if flip else 1), gamma)
+def _member(H: KernelSubgroup, coeffs: list[int]) -> ExponentVector:
+    """The member of H with the given generator coefficients."""
+    if H.kind == "product":
+        return H.member(coeffs[1:], Fraction(coeffs[0]))
+    return H.member(coeffs)
 
 
 def _cone_point(a: list[Scalar], b: list[Scalar]) -> list[int]:
     """Integer coefficients m with a·m > 0 > b·m, for linearly independent
     covectors a and b.
 
-    Coordinates d1, d2 with a nonzero 2x2 minor carry the open cone into a
-    plane.  On the line m = x·e_d1 + y·e_d2 each inequality is a sign test
-    or a strict bound on x, and the minor's sign decides which of y = ±1
-    leaves an interval; a rational x = p/q in it gives p·e_d1 + y·q·e_d2.
+    Coordinates d1, d2 with a nonzero 2x2 minor det carry the open cone into
+    a plane, where its rays are (b[d2], -b[d1])/det and (a[d2], -a[d1])/det.
+    It meets the line y = 1 when a ray has y > 0, and y = -1 otherwise.  On
+    the line m = x·e_d1 + y·e_d2 each inequality is a strict bound on x or
+    holds outright, and a rational x = p/q between the bounds gives
+    p·e_d1 + y·q·e_d2.
     """
     rank = len(a)
-    d1, d2 = next(
-        (d1, d2) for d1 in range(rank) for d2 in range(d1 + 1, rank)
-        if a[d1] * b[d2] != a[d2] * b[d1]
+    d1, d2, det = next(
+        (d1, d2, det) for d1 in range(rank) for d2 in range(d1 + 1, rank)
+        if (det := a[d1] * b[d2] - a[d2] * b[d1])
     )
-    for y in (1, -1):
-        # each condition reads c·x + k > 0
-        conditions = ((a[d1], a[d2]._scale(y)), (-b[d1], b[d2]._scale(-y)))
-        if any(not c and k.sign() <= 0 for c, k in conditions):
-            continue
-        lows = [-k / c for c, k in conditions if c.sign() > 0]
-        highs = [-k / c for c, k in conditions if c.sign() < 0]
-        if lows and highs:
-            lo, hi = max(lows), min(highs)
-            if not lo < hi:
-                continue
-            x = simplest_between(lo, hi)
-        elif lows:
-            x = Fraction(max(lows).floor() + 1)
-        else:
-            x = Fraction(min(highs).floor() - 1)
-        coeffs = [0] * rank
-        coeffs[d1], coeffs[d2] = x.numerator, y * x.denominator
-        return coeffs
-    raise AssertionError("disagreement cone missed both lines y = ±1")
+    sa, sb = a[d1].sign(), b[d1].sign()
+    y = 1 if -det.sign() in (sa, sb) else -1
+    # on the line, a·m > 0 and b·m < 0 read x > -k·y/c where s > 0 and
+    # x < -k·y/c where s < 0; where s = 0 they hold for every x
+    bounds = [
+        (s, k._scale(-y) / c)
+        for s, c, k in ((sa, a[d1], a[d2]), (-sb, b[d1], b[d2])) if s
+    ]
+    lows = [t for s, t in bounds if s > 0]
+    highs = [t for s, t in bounds if s < 0]
+    if lows and highs:
+        x = simplest_between(max(lows), min(highs))
+    elif lows:
+        x = Fraction(max(lows).floor() + 1)
+    else:
+        x = Fraction(min(highs).floor() - 1)
+    coeffs = [0] * rank
+    coeffs[d1], coeffs[d2] = x.numerator, y * x.denominator
+    return coeffs
 
 
-def _covector_disagreement_witness(
+def _separating_member(
     A: Prime, B: Prime, H: KernelSubgroup, a: list[Scalar], b: list[Scalar]
 ) -> ExponentVector:
     """A member of H with differing full lex signs, for stage covectors a
-    and b that are not positively proportional.
+    and b on H's generators that are not positively proportional.
 
-    The basis vectors ±e_d come first, since a stage value of 0 on one side
-    can separate there.  Failing those, a and b are linearly independent (a
-    negative multiple is separated by some ±e_d), and a point of the open
-    cone {a·m > 0 > b·m} separates: every earlier row vanishes on H, so the
-    opposite stage signs are the full lex signs.
+    Every earlier row vanishes on H, so a nonzero stage value is that
+    side's full lex sign.  The generators come first, +e_d before -e_d: one
+    read with one sign on both sides cannot separate, opposite signs do at
+    once, and only a zero needs the full lex signs.  Some ±e_d separates
+    when a or b is zero or b is a negative multiple of a; otherwise a and b
+    are independent, and a point of the open cone {a·m > 0 > b·m} does.
     """
-    for d in range(H.lattice_rank):
-        for sign in (1, -1):
-            w = H.member(_unit(H, d, sign))
-            if A.matrix.sign_lex(w) != B.matrix.sign_lex(w):
+    rank = len(a)
+    for d, (x, y) in enumerate(zip(a, b)):
+        if x == y and x:
+            continue
+        signs = x.sign() * y.sign()
+        if signs > 0:
+            continue
+        for s in (1, -1):
+            w = _member(H, [s if i == d else 0 for i in range(rank)])
+            if signs or A.matrix.sign_lex(w) != B.matrix.sign_lex(w):
                 return w
-    return H.member(_cone_point(a, b))
+    return _member(H, _cone_point(a, b))
 
 
 def _positively_proportional(ga: list[Scalar], gb: list[Scalar]) -> bool:
@@ -583,31 +578,11 @@ def decide_equal(A: Prime, B: Prime) -> EqualityVerdict:
     for H, eff_a in _stages(A):
         # a row of B that vanishes on H vanishes on every later, smaller H
         eff_b = next(filter(None, (_effective_row(r, H) for r in rows_b)), None)
-        if eff_a is None and eff_b is None:
+        a, b = _covector(H, eff_a), _covector(H, eff_b)
+        if not _positively_proportional(a, b):
+            return _distinguished(A, B, _separating_member(A, B, H, a, b))
+        if eff_a is None:
             return EqualityVerdict("Equal")
-        if eff_a is None or eff_b is None:
-            _, values = eff_a or eff_b
-            return _distinguished(A, B, _one_sided_witness(H, values))
-        (ca, ga), (cb, gb) = eff_a, eff_b
-        # coefficient entries are 0 or 1, and nonzero only in product kind
-        pa, pb = bool(ca), bool(cb)
-        if pa != pb:
-            if pa:
-                w = _mixed_case_witness(H, ga, gb)
-            else:
-                w = _mixed_case_witness(H, gb, ga)
-            return _distinguished(A, B, w)
-        if pa:
-            split = next((d for d in range(len(ga)) if ga[d] != gb[d]), None)
-            if split is not None:
-                ta, tb = -ga[split], -gb[split]
-                lo, hi = (ta, tb) if ta < tb else (tb, ta)
-                gamma = simplest_between(lo, hi)
-                w = H.member(_unit(H, split, 1), gamma)
-                return _distinguished(A, B, w)
-        elif not _positively_proportional(ga, gb):
-            w = _covector_disagreement_witness(A, B, H, ga, gb)
-            return _distinguished(A, B, w)
 
 
 # -- classification -----------------------------------------------------------

@@ -128,13 +128,16 @@ def exact_vector(v: Iterable, what: str, read: Optional[Callable] = None) -> tup
     return tuple([read(x) for x in entries])
 
 
-def exact_fields(row: Iterable, count: int, what: str) -> tuple:
-    """row's entries as a tuple of exactly count; DomainError naming the
-    row when it is not a sequence of count entries."""
-    fields = exact_vector(row, what, lambda x: x)
-    if len(fields) != count:
-        raise DomainError(f"{what} must have {count} entries, got {row!r}")
-    return fields
+def exact_rows(rows: Iterable, count: int, what: str) -> tuple:
+    """rows as a tuple of tuples of exactly count entries; DomainError when
+    rows is no sequence, or naming a row that is not a sequence of count
+    entries."""
+    def fields(row):
+        entries = exact_vector(row, what, lambda x: x)
+        if len(entries) != count:
+            raise DomainError(f"{what} must have {count} entries, got {row!r}")
+        return entries
+    return exact_vector(rows, "row list", fields)
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
@@ -169,19 +172,22 @@ class Scalar:
         every scalar is the exact value that was written.
         """
         reduced: dict[int, Fraction] = {}
-        if terms:
-            for n, q in terms.items():
-                n = exact_int(n, "radicand", 0)
-                q = exact_rational(q, "coefficient")
-                if not q or not n:
-                    continue
-                outer, inner = squarefree_split(n)
-                coeff = q * outer
-                acc = reduced.get(inner, Fraction(0)) + coeff
-                if acc:
-                    reduced[inner] = acc
-                elif inner in reduced:
-                    del reduced[inner]
+        try:
+            items = () if terms is None else terms.items()
+        except AttributeError:
+            raise DomainError(f"scalar terms must be a mapping, got {terms!r}") from None
+        for n, q in items:
+            n = exact_int(n, "radicand", 0)
+            q = exact_rational(q, "coefficient")
+            if not q or not n:
+                continue
+            outer, inner = squarefree_split(n)
+            coeff = q * outer
+            acc = reduced.get(inner, Fraction(0)) + coeff
+            if acc:
+                reduced[inner] = acc
+            elif inner in reduced:
+                del reduced[inner]
         primes = 0
         for n in reduced:
             primes |= _prime_mask(n)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DimensionError, DomainError, ParseError
-from .scalars import ONE, RationalLike, Scalar, _Cursor, _parse_int, _parse_rational, dot, exact_fields, exact_int, exact_rational, exact_vector
+from .scalars import ONE, RationalLike, Scalar, _Cursor, _parse_int, _parse_rational, dot, exact_int, exact_rational, exact_rows, exact_vector
 
 NEG_INF = float("-inf")
 
@@ -80,8 +80,7 @@ class TropPolynomial:
         self.n = exact_int(n, "variable count", 0)
         clean: dict[tuple[int, ...], Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        for item in items:
-            u, gamma = exact_fields(item, 2, "term (exponent, coefficient exponent)")
+        for u, gamma in exact_rows(items, 2, "term (exponent, coefficient exponent)"):
             u = _exponents(u)
             if len(u) != self.n:
                 raise DimensionError(

@@ -14,6 +14,7 @@ from valflag import (
     ExponentVector,
     FarkasCertificate,
     Flag,
+    GammaPolyhedralSet,
     GammaPolyhedron,
     IneqSystem,
     KernelSubgroup,
@@ -83,13 +84,18 @@ READERS = {
 NOT_A_VECTOR = {
     "DefiningMatrix rows": lambda v: DefiningMatrix(v),
     "DefiningMatrix row": lambda v: DefiningMatrix([v]),
+    "IneqSystem rows": lambda v: IneqSystem(2, v),
     "IneqSystem.add normal": lambda v: IneqSystem(2).add(v, 0),
+    "GammaPolyhedron rows": lambda v: GammaPolyhedron(2, v),
     "GammaPolyhedron normal": lambda v: GammaPolyhedron(2, [(v, 0)]),
+    "GammaPolyhedralSet pieces": lambda v: GammaPolyhedralSet(v),
+    "FarkasCertificate m_l": lambda v: FarkasCertificate(1, v, Fraction(0)),
     "GammaPolyhedron.contains": lambda v: GammaPolyhedron(2).contains(v),
     "Flag base": lambda v: Flag("polyhedra", v, ()),
     "Flag directions": lambda v: Flag("polyhedra", (0, 0), v),
     "Flag direction": lambda v: Flag("polyhedra", (0, 0), (v,)),
     "ExponentVector u": lambda v: ExponentVector(0, v),
+    "TropPolynomial terms": lambda v: TropPolynomial(2, v),
     "TropPolynomial exponent": lambda v: TropPolynomial(2, {v: 0}),
     "TropPolynomial.term": lambda v: TropPolynomial.term(0, v),
     "KernelSubgroup.member": lambda v: KernelSubgroup.full(2).member(v),
@@ -198,6 +204,7 @@ def test_readers_keep_exact_values():
     IneqSystem(1).add([1], 0, strict=True)
     H = KernelSubgroup("graph", 1, [[2]], [1])
     assert H.lattice == ((2,),) and H.ell == (Fraction(1),)
+    assert FarkasCertificate(1, [2, 0], 0).m_l == (2, 0)
 
 
 def test_refusals_of_caller_input_are_domain_errors():
@@ -219,6 +226,11 @@ def test_refusals_of_caller_input_are_domain_errors():
         lambda: FarkasCertificate(0, (), Fraction(0)),
         lambda: Flag("cones", (), ()),
         lambda: relative_interior_matrix([[]]),
+        lambda: TropPolynomial(2, None),
+        lambda: GammaPolyhedralSet([[]]),
+        lambda: GammaPolyhedralSet([GammaPolyhedron(1), 5]),
+        lambda: Scalar(5),
+        lambda: Scalar([(2, 1)]),
     ):
         with pytest.raises(DomainError) as info:
             refuse()

@@ -369,8 +369,8 @@ def test_decide_equal_distinguishes_weights():
     B = P([1, R2, 0])
     verdict = decide_equal(A, B)
     assert not verdict.equal
-    assert verdict.witness == ExponentVector(Fraction(-1), (1, 0))
-    assert A.matrix.sign_lex(verdict.witness) == -1
+    assert verdict.witness == ExponentVector(Fraction(0), (1, 0))
+    assert A.matrix.sign_lex(verdict.witness) == 0
     assert B.matrix.sign_lex(verdict.witness) == 1
 
 
@@ -554,6 +554,46 @@ def test_covector_witness_agrees_with_box_search():
                 assert A.matrix.sign_lex(w) != B.matrix.sign_lex(w)
             constructed += 1
     assert basis_hits >= 5 and constructed >= 20
+
+
+def test_witness_is_the_first_separating_generator():
+    """Pairs whose canonical first rows differ, so the first stage already
+    disagrees on H = ℚ x Z^n, with any mix of coefficient entries 1 and 0.
+
+    The witness is the first of t^±1, x_1^±1, ..., x_n^±1 whose two full
+    lex signs differ, whenever one does; otherwise it is a cone point,
+    which decide_equal re-checks.
+    """
+    rng = random.Random(311)
+    checked = generator_hits = 0
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        A, B = random_prime(rng, n), random_prime(rng, n)
+        if not A.matrix.rows or not B.matrix.rows:
+            continue
+        if A.matrix.rows[0] == B.matrix.rows[0]:
+            continue
+        checked += 1
+        zero = (0,) * n
+        generators = [ExponentVector(Fraction(s), zero) for s in (1, -1)] + [
+            ExponentVector(Fraction(0), tuple(s * (i == j) for i in range(n)))
+            for j in range(n)
+            for s in (1, -1)
+        ]
+        first = next(
+            (
+                w for w in generators
+                if A.matrix.sign_lex(w) != B.matrix.sign_lex(w)
+            ),
+            None,
+        )
+        verdict = decide_equal(A, B)
+        assert verdict.outcome == "Distinguished"
+        if first is not None:
+            assert verdict.witness == first
+            generator_hits += 1
+    assert checked >= 300 and generator_hits >= 250
+    assert checked - generator_hits >= 20
 
 
 def test_witness_members_of_kernel_subgroup():
