@@ -107,7 +107,9 @@ def filter_member(
     """Is the polyhedral set in the filter of P?
 
     Member exactly when some piece is a neighborhood of the flag;
-    piece_index reports the first one.
+    piece_index reports the first one.  On a rational set the answer is the
+    polynomial preorder's: rational_set(f0, F) is a member exactly when
+    compare(P, f, f0) is not GREATER for every f in F.
     """
     if classify(P) != CONT:
         raise DomainError("filter membership needs a cont prime")

@@ -1,4 +1,5 @@
-"""Small exact linear algebra: integer kernels, Hermite form, echelon bases.
+"""Small exact linear algebra: integer kernels on a lattice, read off one
+Hermite form, and echelon bases.
 
 The integer routines use gcd-based unimodular operations (no floating
 point, no modular tricks).  The field routines reduce each row against
@@ -39,42 +40,27 @@ def _integer_rows(rows: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
 
 
 def integer_kernel(
-    rows: Sequence[Sequence[Fraction | int]], n: int
-) -> list[list[int]]:
-    """Basis of the full integer kernel {m in Z^n : A m = 0}.
+    rows: Sequence[Sequence[Fraction | int]], basis: Sequence[Sequence[int]]
+) -> tuple[list[list[int]], list[list[int]]]:
+    """The sublattice {sum m_d basis_d : m in Z^r, A m = 0} of a lattice,
+    as (its Hermite basis, each basis row's coordinates over basis).
 
-    Row scaling does not change the kernel, so rational rows are cleared to
-    integers first.  Column elimination by unimodular operations yields a
-    basis that spans every integer solution (the kernel lattice is
-    saturated by construction).
+    basis is r rows in Hermite form; the rational rows A are in basis
+    coordinates and are cleared to integers, which keeps the kernel.  One
+    Hermite form of the rows (A's column d | basis_d | e_d) gives both: its
+    rows that are zero on A's columns span exactly the members A
+    annihilates.  The basis_d are independent, so those rows' pivots lie in
+    the basis part, which is the kernel's Hermite form, and their e part is
+    the unique coordinates.
     """
     A = _integer_rows(rows)
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def colop(c0: int, c1: int, a: int, b: int, c: int, d: int) -> None:
-        # (col c0, col c1) <- (a*col c0 + b*col c1, c*col c0 + d*col c1)
-        for M in (A, U):
-            for row in M:
-                x, y = row[c0], row[c1]
-                row[c0] = a * x + b * y
-                row[c1] = c * x + d * y
-
-    col = 0
-    for r in range(len(A)):
-        if col >= n:
-            break
-        nz = [c for c in range(col, n) if A[r][c]]
-        if not nz:
-            continue
-        c0 = nz[0]
-        for c in nz[1:]:
-            g, s, t = xgcd(A[r][c0], A[r][c])
-            a0, a1 = A[r][c0] // g, A[r][c] // g
-            colop(c0, c, s, t, -a1, a0)
-        if c0 != col:
-            colop(col, c0, 0, 1, 1, 0)
-        col += 1
-    return [[U[i][c] for i in range(n)] for c in range(col, n)]
+    k, n = len(A), len(basis[0]) if basis else 0
+    form = hermite_form([
+        [a[d] for a in A] + list(b) + [int(i == d) for i in range(len(basis))]
+        for d, b in enumerate(basis)
+    ])
+    kernel = [row for row in form if not any(row[:k])]
+    return [row[k:k + n] for row in kernel], [row[k + n:] for row in kernel]
 
 
 def hermite_form(rows: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -451,15 +451,19 @@ def rational_set(
     f0 maximal there, so the union is exact.  With homog=True the region
     lives in (r, x) ∈ ℝ≥0 x N_ℝ and the coefficient exponents are scaled
     by r; rows are cleared to integer normals with zero right-hand side.
+    For a cont prime P, filter_member(P, rational_set(f0, F)) is a member
+    exactly when compare(P, f, f0) is not GREATER for every f in F.
     """
     n = f0.n
     for g in others:
         if g.n != n:
             raise DimensionError("polynomials in different variable counts")
     ambient = n + 1 if homog else n
+    # r ≥ 0, the one row every homogenized piece carries
+    cone = [((-1,) + (0,) * n, Fraction(0))] if homog else []
     if f0.is_zero():
         if all(g.is_zero() for g in others):
-            return GammaPolyhedralSet([GammaPolyhedron(ambient)])
+            return GammaPolyhedralSet([GammaPolyhedron(ambient, cone)])
         empty = GammaPolyhedron(ambient, [((0,) * ambient, Fraction(-1))])
         return GammaPolyhedralSet([empty])
     pieces = []
@@ -477,9 +481,7 @@ def rational_set(
                     )
                 else:
                     rows.append((du, -dgamma))
-        if homog:
-            rows.append(((-1,) + (0,) * n, Fraction(0)))
-        pieces.append(GammaPolyhedron(ambient, rows))
+        pieces.append(GammaPolyhedron(ambient, rows + cone))
     return GammaPolyhedralSet(pieces)
 
 

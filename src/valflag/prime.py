@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DimensionError, DomainError
-from .linalg import hermite_form, in_lattice, independent_rows, integer_kernel
+from .linalg import in_lattice, independent_rows, integer_kernel
 from .scalars import ZERO, Scalar, ScalarLike, dot, exact_int, exact_rational, exact_vector, rational_part_basis, simplest_between
 from .tropical import NEG_INF, ExponentVector, TropPolynomial
 
@@ -361,28 +361,6 @@ def _effective_row(row: Sequence[Scalar], H: KernelSubgroup):
     return c, values
 
 
-def _lattice_restrict(
-    H: KernelSubgroup, coeff_rows: list[list[Fraction]]
-) -> tuple[tuple[tuple[int, ...], ...], list[list[int]]]:
-    """Sublattice of H.lattice where all coeff_rows (in basis coordinates)
-    vanish; returns (hermite basis, old-basis coefficients per new row)."""
-    kernel = integer_kernel(coeff_rows, H.lattice_rank)
-    ambient = [
-        [
-            sum(a * H.lattice[d][j] for d, a in enumerate(vec))
-            for j in range(H.n)
-        ]
-        for vec in kernel
-    ]
-    basis = hermite_form(ambient)
-    old_coeffs = []
-    for row in basis:
-        coeffs = in_lattice(H.lattice, row)
-        assert coeffs is not None
-        old_coeffs.append(coeffs)
-    return tuple(tuple(r) for r in basis), old_coeffs
-
-
 def _restrict(
     H: KernelSubgroup, c: Scalar, values: list[Scalar]
 ) -> KernelSubgroup:
@@ -391,15 +369,17 @@ def _restrict(
     A canonical matrix has c = 0 or c = 1.  With c = 1, in product kind,
     the row fixes gamma = -values·m, and H becomes the graph of that
     functional on the lattice where it is rational; otherwise the covector
-    values must vanish on the lattice.
+    values must vanish on the lattice.  integer_kernel(coeff_rows,
+    H.lattice) gives the new Hermite basis and each new row's coordinates
+    over the old one, which carry ell over.
     """
     if c:
-        basis, old_coeffs = _lattice_restrict(H, rational_part_basis(values))
+        basis, old_coeffs = integer_kernel(rational_part_basis(values), H.lattice)
         ell = tuple(-dot(values, m).as_rational() for m in old_coeffs)
         return KernelSubgroup("graph", H.n, basis, ell)
     coeff_rows = [[x.rational_part() for x in values]]
     coeff_rows.extend(rational_part_basis(values))
-    basis, old_coeffs = _lattice_restrict(H, coeff_rows)
+    basis, old_coeffs = integer_kernel(coeff_rows, H.lattice)
     if H.kind == "product":
         return KernelSubgroup("product", H.n, basis)
     ell = tuple(
@@ -544,6 +524,10 @@ def _separating_member(
 
 
 def _positively_proportional(ga: list[Scalar], gb: list[Scalar]) -> bool:
+    # equal covectors, every stage 0 of a pair equal beyond row operations,
+    # need no division
+    if ga == gb:
+        return True
     ratio = None
     for x, y in zip(ga, gb):
         if not x and not y:

@@ -31,6 +31,10 @@ every kept row and reduces each new row against it, dividing entry by
 entry, where ``independent_rows`` reduces against the kept rows
 themselves with one inverse per row.
 
+The integer-kernel oracle eliminates columns by unimodular operations
+that it records in a separate matrix, where ``integer_kernel`` reads the
+kernel and its coordinates off one Hermite form of an augmented matrix.
+
 The canonical-matrix oracle is the weaker rule by rank: independent rows
 and at most one nonzero coefficient entry, all of them nonnegative, where
 ``Prime`` checks the normal form of ``canonicalize`` by a structural scan.
@@ -80,6 +84,7 @@ from valflag import (
     canonicalize,
     fm_feasible,
 )
+from valflag.linalg import xgcd
 from valflag.polyhedra import _feasible
 from valflag.scalars import ZERO, dot, simplest_between
 
@@ -321,6 +326,45 @@ def ref_independent_rows(rows) -> list[list]:
         kept.append([x / scale for x in red])
         rref, pivots = field_rref(kept)
     return kept
+
+
+def ref_integer_kernel(rows, n: int) -> list[list[int]]:
+    """A basis of the full integer kernel {m in Z^n : A m = 0}, by column
+    operations that carry their own unimodular matrix U: every row of A is
+    cleared to integers, each row's entries right of the last pivot column
+    are folded into one by gcd steps, and U's columns past the pivots span
+    the kernel, saturated by construction."""
+    A = []
+    for row in rows:
+        fracs = [Fraction(x) for x in row]
+        den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
+        A.append([int(f * den) for f in fracs])
+    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def colop(c0: int, c1: int, a: int, b: int, c: int, d: int) -> None:
+        # (col c0, col c1) <- (a*col c0 + b*col c1, c*col c0 + d*col c1)
+        for M in (A, U):
+            for row in M:
+                x, y = row[c0], row[c1]
+                row[c0] = a * x + b * y
+                row[c1] = c * x + d * y
+
+    col = 0
+    for r in range(len(A)):
+        if col >= n:
+            break
+        nz = [c for c in range(col, n) if A[r][c]]
+        if not nz:
+            continue
+        c0 = nz[0]
+        for c in nz[1:]:
+            g, s, t = xgcd(A[r][c0], A[r][c])
+            a0, a1 = A[r][c0] // g, A[r][c] // g
+            colop(c0, c, s, t, -a1, a0)
+        if c0 != col:
+            colop(col, c0, 0, 1, 1, 0)
+        col += 1
+    return [[U[i][c] for i in range(n)] for c in range(col, n)]
 
 
 def ref_canonicalize(matrix) -> DefiningMatrix:
@@ -701,6 +745,18 @@ def random_term(rng: random.Random, n: int, bound: int = 3) -> ExponentVector:
         random_rational(rng, bound=bound),
         tuple(rng.randint(-bound, bound) for _ in range(n)),
     )
+
+
+def random_polynomial(rng: random.Random, n: int) -> TropPolynomial:
+    """Zero to three terms, exponents in [-2, 2] and coefficient exponents
+    q/1 or q/2 with |q| <= 3; a quarter of the draws are zero."""
+    return TropPolynomial(n, [
+        (
+            tuple(rng.randint(-2, 2) for _ in range(n)),
+            Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+        )
+        for _ in range(rng.randint(0, 3))
+    ])
 
 
 def transform_rows(rng: random.Random, matrix: DefiningMatrix) -> DefiningMatrix:

@@ -18,6 +18,7 @@ from valflag import (
     LESS,
     Scalar,
     canonicalize,
+    compare,
     compare_terms,
     farkas_certify,
     filter_member,
@@ -26,12 +27,19 @@ from valflag import (
     min_filter_dim,
     mindim_witness,
     parse_term,
+    rational_set,
     reconstruct_preorder,
 )
 
 from valflag import filters, polyhedra
 
-from _oracles import random_prime, random_term, ref_dim, ref_farkas_certify
+from _oracles import (
+    random_polynomial,
+    random_prime,
+    random_term,
+    ref_dim,
+    ref_farkas_certify,
+)
 
 R2 = Scalar.sqrt(2)
 R3 = Scalar.sqrt(3)
@@ -92,6 +100,26 @@ def test_filter_member_reports_first_witnessing_piece():
     assert ans.member and ans.piece_index == 1
     assert not filter_member(pr, GammaPolyhedralSet([far, far])).member
     assert filter_member(pr, GammaPolyhedralSet([far, far])).piece_index is None
+
+
+def test_rational_set_membership_is_the_polynomial_preorder():
+    """rational_set(f0, F) is in P's filter exactly when every f in F has
+    f ≤_P f0: a piece per term of f0, primeness for the union.  Zero
+    polynomials occur on either side, and some members are found only at
+    a later piece, which a filter_member that reads piece 0 alone misses."""
+    rng = random.Random(405)
+    members = later = zeros = 0
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        pr = random_prime(rng, n, cont=True)
+        f0 = random_polynomial(rng, n)
+        F = [random_polynomial(rng, n) for _ in range(rng.randint(1, 2))]
+        ans = filter_member(pr, rational_set(f0, F))
+        assert ans.member == all(compare(pr, f, f0) != GREATER for f in F)
+        members += ans.member
+        later += bool(ans.member and ans.piece_index > 0)
+        zeros += any(g.is_zero() for g in [f0, *F])
+    assert members >= 100 and later >= 20 and zeros >= 100
 
 
 # -- half-space queries -------------------------------------------------------

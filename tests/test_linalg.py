@@ -18,6 +18,7 @@ from _oracles import (
     reduce_against,
     ref_canonicalize,
     ref_independent_rows,
+    ref_integer_kernel,
     ref_rank,
 )
 
@@ -31,15 +32,20 @@ def test_xgcd():
             assert a % g == 0 and b % g == 0
 
 
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def test_integer_kernel_example():
-    ker = hermite_form(integer_kernel([[1, 1, 0], [0, Fraction(1, 2), 1]], 3))
+    ker, coords = integer_kernel([[1, 1, 0], [0, Fraction(1, 2), 1]], _identity(3))
     assert ker == [[2, -2, 1]] or ker == [[-2, 2, -1]]
+    assert coords == ker
 
 
 def test_integer_kernel_zero_map():
-    ker = integer_kernel([[0, 0]], 2)
-    assert hermite_form(ker) == [[1, 0], [0, 1]]
-    assert integer_kernel([[1, 0], [0, 1]], 2) == []
+    ker, coords = integer_kernel([[0, 0]], _identity(2))
+    assert ker == coords == [[1, 0], [0, 1]]
+    assert integer_kernel([[1, 0], [0, 1]], _identity(2)) == ([], [])
 
 
 def test_integer_kernel_is_saturated():
@@ -52,7 +58,7 @@ def test_integer_kernel_is_saturated():
             [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
             for _ in range(k)
         ]
-        basis = hermite_form(integer_kernel(rows, n))
+        basis, _ = integer_kernel(rows, _identity(n))
         for vec in basis:
             assert all(sum(r[j] * vec[j] for j in range(n)) == 0 for r in rows)
         # random integer vectors in the kernel must have integer coordinates
@@ -60,6 +66,39 @@ def test_integer_kernel_is_saturated():
             v = [rng.randint(-6, 6) for _ in range(n)]
             if all(sum(r[j] * v[j] for j in range(n)) == 0 for r in rows):
                 assert in_lattice(basis, v) is not None
+
+
+def test_integer_kernel_agrees_with_column_oracle():
+    """On random Hermite bases, some of rank below n or empty, and random
+    rational rows in basis coordinates, some zero and some cases with none,
+    the kernel is the Hermite form of the column-operation kernel mapped
+    through the basis, with the coordinates in_lattice reads."""
+    rng = random.Random(23)
+    seen = {"low_rank": 0, "empty_basis": 0, "no_rows": 0, "zero_row": 0, "changed": 0}
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        basis = hermite_form(
+            [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, n + 1))]
+        )
+        r = len(basis)
+        rows = [
+            [Fraction(0)] * r if rng.random() < 0.2 else [random_rational(rng) for _ in range(r)]
+            for _ in range(rng.randint(0, 3))
+        ]
+        ker, coords = integer_kernel(rows, basis)
+        ambient = [
+            [sum(a * basis[d][j] for d, a in enumerate(v)) for j in range(n)]
+            for v in ref_integer_kernel(rows, r)
+        ]
+        want = hermite_form(ambient)
+        assert ker == want
+        assert coords == [in_lattice(basis, row) for row in want]
+        seen["low_rank"] += 0 < r < n
+        seen["empty_basis"] += r == 0
+        seen["no_rows"] += not rows
+        seen["zero_row"] += any(not any(row) for row in rows) and r > 0
+        seen["changed"] += ker != basis
+    assert all(count >= 50 for count in seen.values()), seen
 
 
 def test_hermite_form_example():

@@ -39,6 +39,7 @@ from valflag.scalars import ONE, ZERO, dot
 from _oracles import (
     naive_feasible,
     random_nonsimplicial_cones,
+    random_polynomial,
     random_prime,
     random_scalar,
     ref_dim,
@@ -457,21 +458,8 @@ def test_rational_set_matches_evaluation():
     rng = random.Random(202)
     for _ in range(40):
         n = rng.randint(1, 2)
-
-        def rand_poly():
-            return TropPolynomial(
-                n,
-                [
-                    (
-                        tuple(rng.randint(-2, 2) for _ in range(n)),
-                        Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
-                    )
-                    for _ in range(rng.randint(0, 3))
-                ],
-            )
-
-        f0 = rand_poly()
-        others = [rand_poly() for _ in range(rng.randint(0, 2))]
+        f0 = random_polynomial(rng, n)
+        others = [random_polynomial(rng, n) for _ in range(rng.randint(0, 2))]
         region = rational_set(f0, others)
         for _ in range(12):
             x = [
@@ -510,6 +498,27 @@ def test_rational_set_homog_restricts_to_affine():
         for _ in range(10):
             x = [Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(n)]
             assert flat.contains(x) == lifted.contains([Fraction(1)] + x)
+
+
+def test_rational_set_homog_is_the_cone_over_the_affine_set():
+    """(r, x) with r > 0 lies in the homogenized set exactly when x/r lies
+    in the affine set, and no point with r < 0 does, also when every
+    polynomial is zero."""
+    rng = random.Random(61)
+    all_zero = 0
+    for _ in range(200):
+        n = rng.randint(1, 2)
+        f0 = random_polynomial(rng, n)
+        others = [random_polynomial(rng, n) for _ in range(rng.randint(0, 2))]
+        all_zero += f0.is_zero() and all(g.is_zero() for g in others)
+        flat = rational_set(f0, others)
+        lifted = rational_set(f0, others, homog=True)
+        for _ in range(6):
+            r = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+            x = [Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(n)]
+            assert lifted.contains([r] + x) == flat.contains([xi / r for xi in x])
+            assert not lifted.contains([-r] + x)
+    assert all_zero >= 5
 
 
 # -- flags --------------------------------------------------------------------
