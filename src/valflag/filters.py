@@ -170,16 +170,19 @@ def farkas_certify(
     if _consistent(final):
         point = _back_substitute(levels)
         value = Scalar.rational(target.gamma) + dot(list(point), target.u)
-        assert value.sign() > 0
+        if value.sign() <= 0:
+            raise AssertionError("counterexample point satisfies the target")
         for c in constraints:
             cv = Scalar.rational(c.gamma) + dot(list(point), c.u)
-            assert cv.sign() <= 0
+            if cv.sign() > 0:
+                raise AssertionError("counterexample point violates a constraint")
         return CounterexamplePoint(point)
     (contradiction,) = [row for row in final if row[4] & target_bit]
     *weights, target_weight = [
         w.as_rational() for w in _weights(contradiction, len(violated.rows))
     ]
-    assert target_weight > 0
+    if target_weight <= 0:
+        raise AssertionError("contradiction without a positive target weight")
     rationals = [w / target_weight for w in weights]
     m = lcm(*(q.denominator for q in rationals))
     m_l = tuple(int(q * m) for q in rationals)
@@ -187,7 +190,8 @@ def farkas_certify(
         (ml * c.gamma for ml, c in zip(m_l, constraints)), Fraction(0)
     ) - m * target.gamma
     cert = FarkasCertificate(m, m_l, b)
-    assert cert.holds_for(constraints, target)
+    if not cert.holds_for(constraints, target):
+        raise AssertionError(f"certificate {cert} fails its identity")
     return cert
 
 
@@ -226,11 +230,14 @@ def mindim_witness(P: Prime) -> GammaPolyhedron:
     )
     eps = Scalar.rational(Fraction(1, M * max(1, flag.length) + 1))
     point = list(flag.base)
-    assert witness.contains(point)
-    for v in flag.dirs:
+    if not witness.contains(point):
+        raise AssertionError("witness misses the flag vertex")
+    for i, v in enumerate(flag.dirs, 1):
         point = [p + eps * x for p, x in zip(point, v)]
-        assert witness.contains(point)
-    assert witness.dim() == n - K.rank
+        if not witness.contains(point):
+            raise AssertionError(f"witness misses flag member {i}")
+    if witness.dim() != n - K.rank:
+        raise AssertionError(f"witness dimension is not {n - K.rank}")
     return witness
 
 

@@ -33,9 +33,8 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 def _integer_rows(rows: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
     out = []
     for row in rows:
-        fracs = [Fraction(x) for x in row]
-        den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-        out.append([int(f * den) for f in fracs])
+        den = math.lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (den // x.denominator) for x in row])
     return out
 
 

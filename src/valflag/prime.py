@@ -435,7 +435,7 @@ class EqualityVerdict:
 def _distinguished(A: Prime, B: Prime, w: ExponentVector) -> EqualityVerdict:
     sa, sb = A.matrix.sign_lex(w), B.matrix.sign_lex(w)
     if sa == sb:
-        raise ValueError(
+        raise AssertionError(
             f"witness {w} does not separate the matrices (both signs {sa})"
         )
     return EqualityVerdict("Distinguished", w)
