@@ -679,15 +679,10 @@ def simplicialize(
                         f"cone {i} does not contain cone {i - 1}"
                     )
     chosen = [next(g for g in gens_list[0] if any(g))]
-    for i in range(1, len(gens_list)):
-        pick = None
-        for g in gens_list[i]:
-            if field_rank([list(c) for c in chosen] + [list(g)]) == i + 1:
-                pick = g
-                break
-        if pick is None:
-            raise DomainError(f"cone {i} adds no independent ray")
-        chosen.append(pick)
+    for gens in gens_list[1:]:
+        chosen.append(
+            next(g for g in gens if field_rank([*chosen, g]) == len(chosen) + 1)
+        )
     return Flag(
         "cones", tuple(chosen[0]), tuple(tuple(g) for g in chosen[1:])
     )

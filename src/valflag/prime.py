@@ -14,12 +14,12 @@ decide_equal settles whether two canonical matrices order every term pair
 identically.  Equal normal forms are row-operation equivalent, so they
 answer Equal at once.  Otherwise it walks A's stages, shrinking the
 subgroup H of ℚ x Z^n on which A's rows seen so far vanish, and reads B's
-rows against each stage's H; at each stage the two row functionals must be
-positively proportional on H.  The walk terminates because the rank of H
-drops at every stage.  A stage that disagrees has one witness rule: on H's
+rows against each stage's H; at each stage the two rows' covectors on H's
 generators (the coefficient direction t first in product kind, then the
-lattice basis) try ±e_d in order, else a point of the open cone where the
-two row covectors take opposite signs.
+lattice basis) must be positively proportional.  The walk terminates
+because the rank of H drops at every stage.  A stage that disagrees has
+one witness rule: try ±e_d in order, else a point of the open cone where
+the two covectors take opposite signs.
 """
 
 from __future__ import annotations
@@ -344,64 +344,72 @@ class KernelSubgroup:
         return ExponentVector(gamma, tuple(u))
 
 
-def _effective_row(row: Sequence[Scalar], H: KernelSubgroup):
-    """Restrict a matrix row to H.
+def _covector(row: Sequence[Scalar], H: KernelSubgroup) -> list[Scalar]:
+    """A matrix row's values on H's generators.
 
-    Returns None when the row vanishes identically on H, otherwise
-    (c, values): c is the coefficient entry, 0 or 1 in a canonical matrix,
-    and values pairs the rest of the row with each lattice basis vector.
-    In graph kind c is 0, so the pairing needs no c·ell term: a canonical
-    matrix has one nonzero coefficient entry, and H turns graph only when
-    that row is consumed.
+    H's generators are the coefficient direction (1, 0) and then the
+    lattice basis in product kind, and the lattice basis alone in graph
+    kind.  So the covector is [c, *values] in product kind, c the row's
+    coefficient entry and values the rest of the row paired with each basis
+    vector, and values alone in graph kind.  There a basis vector m lifts to
+    (ell(m), m), and the c·ell(m) term is left out because every row read
+    on a graph-kind H has c = 0: a canonical matrix has one nonzero
+    coefficient entry, and H turns graph only when the row holding it is
+    consumed (decide_equal says why B's has been met by then).  The row
+    vanishes on H exactly when its covector is zero.
     """
-    c, xi = row[0], row[1:]
-    values = [dot(xi, b) for b in H.lattice]
-    if not c and not any(values):
-        return None
-    return c, values
+    values = [dot(row[1:], m) for m in H.lattice]
+    return [row[0], *values] if H.kind == "product" else values
 
 
-def _restrict(
-    H: KernelSubgroup, c: Scalar, values: list[Scalar]
-) -> KernelSubgroup:
-    """Intersect H with the vanishing of an effective row (c, values).
-
-    A canonical matrix has c = 0 or c = 1.  With c = 1, in product kind,
-    the row fixes gamma = -values·m, and H becomes the graph of that
-    functional on the lattice where it is rational; otherwise the covector
-    values must vanish on the lattice.  integer_kernel(coeff_rows,
-    H.lattice) gives the new Hermite basis and each new row's coordinates
-    over the old one, which carry ell over.
-    """
-    if c:
-        basis, old_coeffs = integer_kernel(rational_part_basis(values), H.lattice)
-        ell = tuple(-dot(values, m).as_rational() for m in old_coeffs)
-        return KernelSubgroup("graph", H.n, basis, ell)
-    coeff_rows = [[x.rational_part() for x in values]]
-    coeff_rows.extend(rational_part_basis(values))
-    basis, old_coeffs = integer_kernel(coeff_rows, H.lattice)
+def _member(H: KernelSubgroup, coeffs: list[int]) -> ExponentVector:
+    """The member of H with the given coefficients on H's generators."""
     if H.kind == "product":
+        return H.member(coeffs[1:], Fraction(coeffs[0]))
+    return H.member(coeffs)
+
+
+def _restrict(H: KernelSubgroup, a: list[Scalar]) -> KernelSubgroup:
+    """Intersect H with the vanishing of a row whose covector on H is a.
+
+    A canonical matrix has c = 0 or c = 1: a's first entry in product kind,
+    and 0 in graph kind (_covector).  The new lattice is where values·m is
+    rational, and also zero when c = 0; with c = 1 the row fixes
+    gamma = -values·m there, and H becomes the graph of that functional.
+    One integer_kernel(rows, H.lattice) gives the new Hermite basis and
+    each new row's coordinates over the old one, which carry a graph kind's
+    ell over.
+    """
+    c, values = (a[0], a[1:]) if H.kind == "product" else (0, a)
+    rows = rational_part_basis(values)
+    if not c:
+        rows.insert(0, [x.rational_part() for x in values])
+    basis, old_coeffs = integer_kernel(rows, H.lattice)
+    if c:
+        ell = tuple(-dot(values, m).as_rational() for m in old_coeffs)
+    elif H.kind == "graph":
+        ell = tuple(
+            sum((k * e for k, e in zip(m, H.ell)), Fraction(0))
+            for m in old_coeffs
+        )
+    else:
         return KernelSubgroup("product", H.n, basis)
-    ell = tuple(
-        sum((Fraction(a) * e for a, e in zip(coeffs, H.ell)), Fraction(0))
-        for coeffs in old_coeffs
-    )
     return KernelSubgroup("graph", H.n, basis, ell)
 
 
 def _stages(P: Prime):
     """The kernel recursion of one matrix.
 
-    Yields (H, (c, values)) for each row that does not vanish on the H left
-    by the rows before it, restricted to that H, and then (final H, None).
+    Yields (H, a) for each row whose covector a on the H left by the rows
+    before it is nonzero, and then the final H with its zero covector.
     """
     H = KernelSubgroup.full(P.n)
     for row in P.matrix.rows:
-        eff = _effective_row(row, H)
-        if eff is not None:
-            yield H, eff
-            H = _restrict(H, *eff)
-    yield H, None
+        a = _covector(row, H)
+        if any(a):
+            yield H, a
+            H = _restrict(H, a)
+    yield H, [ZERO] * H.rank
 
 
 def final_kernel(P: Prime) -> KernelSubgroup:
@@ -439,24 +447,6 @@ def _distinguished(A: Prime, B: Prime, w: ExponentVector) -> EqualityVerdict:
             f"witness {w} does not separate the matrices (both signs {sa})"
         )
     return EqualityVerdict("Distinguished", w)
-
-
-def _covector(H: KernelSubgroup, eff) -> list[Scalar]:
-    """A stage row (c, values), or None, as a covector on H's generators:
-    the coefficient direction (1, 0), then the lattice basis, in product
-    kind; the lattice basis alone in graph kind, where c is 0
-    (_effective_row).  None is the zero covector."""
-    if eff is None:
-        return [ZERO] * H.rank
-    c, values = eff
-    return [c, *values] if H.kind == "product" else values
-
-
-def _member(H: KernelSubgroup, coeffs: list[int]) -> ExponentVector:
-    """The member of H with the given generator coefficients."""
-    if H.kind == "product":
-        return H.member(coeffs[1:], Fraction(coeffs[0]))
-    return H.member(coeffs)
 
 
 def _cone_point(a: list[Scalar], b: list[Scalar]) -> list[int]:
@@ -559,13 +549,15 @@ def decide_equal(A: Prime, B: Prime) -> EqualityVerdict:
     if A == B:
         return EqualityVerdict("Equal")
     rows_b = iter(B.matrix.rows)
-    for H, eff_a in _stages(A):
-        # a row of B that vanishes on H vanishes on every later, smaller H
-        eff_b = next(filter(None, (_effective_row(r, H) for r in rows_b)), None)
-        a, b = _covector(H, eff_a), _covector(H, eff_b)
+    for H, a in _stages(A):
+        # a row of B that vanishes on H vanishes on every later, smaller H.
+        # B's c = 1 row is never zero on a product-kind H, so such a stage
+        # reads it as b, and unless A's row there has c = 1 too the first
+        # entries disagree; a graph-kind H never reads it.
+        b = next(filter(any, (_covector(r, H) for r in rows_b)), [ZERO] * H.rank)
         if not _positively_proportional(a, b):
             return _distinguished(A, B, _separating_member(A, B, H, a, b))
-        if eff_a is None:
+        if not any(a):
             return EqualityVerdict("Equal")
 
 
@@ -575,13 +567,9 @@ def decide_equal(A: Prime, B: Prime) -> EqualityVerdict:
 def classify(P: Prime) -> str:
     """cont / coefficient_blind / non_continuous, read off the first column."""
     rows = P.matrix.rows
-    if not rows:
-        return COEFFICIENT_BLIND
-    if rows[0][0].sign() > 0:
-        return CONT
     if all(not row[0] for row in rows):
         return COEFFICIENT_BLIND
-    return NON_CONTINUOUS
+    return CONT if rows[0][0].sign() > 0 else NON_CONTINUOUS
 
 
 def height(P: Prime) -> int:

@@ -530,6 +530,8 @@ def _simplest_positive(a: Scalar, b: Scalar) -> Fraction:
 
 class _Cursor:
     def __init__(self, text: str):
+        if not isinstance(text, str):
+            raise DomainError(f"text to parse must be a str, got {text!r}")
         self.text = text
         self.pos = 0
 

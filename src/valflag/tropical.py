@@ -215,9 +215,10 @@ def _default_names(n: int) -> list[str]:
 
 
 def check_names(names: Sequence[str]) -> list[str]:
-    """names as a list; ParseError unless they are distinct identifiers
-    other than t, so that every formatted term reads back."""
-    names = list(names)
+    """names as a list; DomainError unless they are a sequence, which a str
+    is not, and ParseError unless they are distinct identifiers other than
+    t, so that every formatted term reads back."""
+    names = list(exact_vector(names, "variable names", lambda x: x))
     for i, name in enumerate(names):
         if not isinstance(name, str) or not name.isidentifier():
             raise ParseError(f"variable name {name!r} is not an identifier")
@@ -233,13 +234,12 @@ def _read_terms(
 ) -> list[tuple[tuple[int, ...], Fraction]]:
     """The terms of text as (u, gamma) pairs in the order written, before
     any merge; with single, exactly one term.  A ParseError points at the
-    offending character."""
-    names = check_names(names)
+    offending character.  names is a list that check_names returned."""
+    cur = _Cursor(text)
     if text.strip() == "0" and not single:
         return []
     index = {name: i for i, name in enumerate(names)}
     symbols = sorted([*names, "t"], key=len, reverse=True)
-    cur = _Cursor(text)
     terms = []
     while True:
         gamma = Fraction(0)
@@ -266,13 +266,14 @@ def _read_terms(
 
 
 def parse_poly(text: str, names: Sequence[str]) -> TropPolynomial:
+    names = check_names(names)
     return TropPolynomial(len(names), _read_terms(text, names))
 
 
 def parse_term(text: str, names: Sequence[str]) -> ExponentVector:
     """The one term written in text; a sum is refused even when its terms
     merge into one."""
-    ((u, gamma),) = _read_terms(text, names, single=True)
+    ((u, gamma),) = _read_terms(text, check_names(names), single=True)
     return ExponentVector(gamma, u)
 
 

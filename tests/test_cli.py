@@ -580,6 +580,23 @@ def test_non_integer_normal_rejected(tmp_path, capsys):
         assert u in err and "integers" in err
 
 
+def test_json_of_the_wrong_shape_exits_two(tmp_path, capsys):
+    c = jfile(tmp_path, "c.json", {"rows": []})
+    assert cli.main(["canon", c]) == 2
+    assert capsys.readouterr().err == (
+        f'error: {c}: expected {{"vars": [...], "rows": [...]}}\n'
+    )
+    m = jfile(tmp_path, "m.json", WHALE)
+    for polyset, want in [
+        ({"pieces": [{"x": 1}]}, 'expected {"ineqs": [...]}'),
+        ({"ineqs": [{"u": [1]}]}, 'inequality 1 needs "u" and "gamma"'),
+    ]:
+        u = jfile(tmp_path, "u.json", polyset)
+        assert cli.main(["member", m, u]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {u}: {want}\n"
+
+
 def test_empty_pieces_rejected(tmp_path, capsys):
     m = jfile(tmp_path, "m.json", WHALE)
     u = jfile(tmp_path, "u.json", {"pieces": []})

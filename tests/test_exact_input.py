@@ -22,6 +22,9 @@ from valflag import (
     TropPolynomial,
     ValflagError,
     in_cone,
+    parse_poly,
+    parse_scalar,
+    parse_term,
     relative_interior_matrix,
     simplest_between,
     simplicialize,
@@ -77,6 +80,10 @@ READERS = {
     "FarkasCertificate b": lambda v: FarkasCertificate(1, (), v),
     "simplest_between low": lambda v: simplest_between(v, 2),
     "simplest_between high": lambda v: simplest_between(0, v),
+    # parser text is a str, and "1.5" is a ParseError
+    "parse_scalar": parse_scalar,
+    "parse_poly text": lambda v: parse_poly(v, ["x"]),
+    "parse_term text": lambda v: parse_term(v, ["x"]),
 }
 
 # where a vector is expected, an int is no vector, and a string is not read
@@ -109,6 +116,8 @@ NOT_A_VECTOR = {
     "relative_interior_matrix generator": lambda v: relative_interior_matrix([[v]]),
     "simplicialize cones": lambda v: simplicialize(v),
     "simplicialize generator": lambda v: simplicialize([[v]]),
+    "parse_poly names": lambda v: parse_poly("x", v),
+    "parse_term names": lambda v: parse_term("x", v),
 }
 
 # readers for which one of BAD is a valid value: None is the default gamma
@@ -190,6 +199,14 @@ def test_row_that_is_not_a_tuple_of_fields_is_refused_naming_it(read, row):
     assert repr(row) in str(info.value)
 
 
+def test_parsers_name_what_they_refuse():
+    with pytest.raises(DomainError, match="text to parse must be a str, got b'1'"):
+        parse_scalar(b"1")
+    with pytest.raises(DomainError, match="variable names must be a sequence, got 'xy'"):
+        parse_poly("x*y", "xy")
+    assert parse_poly("x*y", ("x", "y")) == parse_poly("x*y", iter(["x", "y"]))
+
+
 def test_readers_keep_exact_values():
     assert exact_int(-3, "x") == -3
     assert exact_rational(2, "x") == Fraction(2)
@@ -231,6 +248,11 @@ def test_refusals_of_caller_input_are_domain_errors():
         lambda: GammaPolyhedralSet([GammaPolyhedron(1), 5]),
         lambda: Scalar(5),
         lambda: Scalar([(2, 1)]),
+        lambda: parse_scalar(5),
+        lambda: parse_scalar(b"1"),
+        lambda: parse_poly("x", 5),
+        lambda: parse_poly(5, ["x"]),
+        lambda: parse_term(5, ["x"]),
     ):
         with pytest.raises(DomainError) as info:
             refuse()

@@ -1,10 +1,7 @@
 """Seeded refusal fuzzing: every public constructor and container reader,
-fed nested junk, returns or raises a ValflagError, and so does every parser
-on random strings over the grammar's alphabet.
-
-A non-str text or name list given to parse_scalar, parse_poly or
-parse_term is not fuzzed: it still raises TypeError or AttributeError, and
-whether the parsers should check their argument types is an open question.
+fed nested junk, returns or raises a ValflagError, and so does every parser,
+fed junk as its text and as its name list and random strings over the
+grammar's alphabet.
 """
 
 import random
@@ -77,6 +74,11 @@ TARGETS = {
     "in_cone": (in_cone, 2),
     "simplicialize": (simplicialize, 1),
     "relative_interior_matrix": (relative_interior_matrix, 1),
+    "parse_scalar": (parse_scalar, 1),
+    "parse_poly text": (lambda text: parse_poly(text, ["x", "y"]), 1),
+    "parse_poly names": (lambda names: parse_poly("x + t^1", names), 1),
+    "parse_term text": (lambda text: parse_term(text, ["x", "y"]), 1),
+    "parse_term names": (lambda names: parse_term("x", names), 1),
 }
 
 ALPHABET = ["0", "1", "2", "7", "/", "+", "-", "*", "^", "(", ")", "sqrt",

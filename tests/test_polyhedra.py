@@ -407,6 +407,8 @@ def test_polyhedron_intersection():
     line = left.intersection(right)
     assert line.dim() == 1
     assert line.contains([Scalar.rational(1), R2])
+    with pytest.raises(DimensionError, match="different dimension"):
+        GammaPolyhedron(1).intersection(GammaPolyhedron(2))
 
 
 def test_polyhedral_set():
@@ -442,6 +444,11 @@ def test_rational_set_empty_f0():
     assert region.pieces[0].is_empty()
     both_zero = rational_set(TropPolynomial.zero(1), [TropPolynomial.zero(1)])
     assert both_zero.contains([R2])
+
+
+def test_rational_set_refuses_mixed_variable_counts():
+    with pytest.raises(DimensionError, match="different variable counts"):
+        rational_set(TropPolynomial.unit(1), [TropPolynomial.unit(2)])
 
 
 def test_rational_set_homog_slice_is_zero_locus():
@@ -543,6 +550,10 @@ def test_flag_from_matrix_examples():
 def test_flag_kind_constraints():
     with pytest.raises(DomainError):
         flag_from_matrix(P([0, 1, 0]), kind="polyhedra")
+    with pytest.raises(DomainError, match="empty matrix has no cone flag"):
+        flag_from_matrix(canonicalize(DefiningMatrix([], n=2)), kind="cones")
+    with pytest.raises(DomainError, match="bad flag kind 'bad'"):
+        flag_from_matrix(P([1, 0]), kind="bad")
     with pytest.raises(DomainError):
         Flag("spirals", (ZERO,), ())
     with pytest.raises(DomainError):

@@ -69,6 +69,8 @@ def test_canonicalize_examples():
     assert fixed.matrix.rows == got.matrix.rows
     dropped = P([1, 0, 0], [2, 0, 0])
     assert dropped.matrix.rows == ((Scalar.rational(1), Scalar.rational(0), Scalar.rational(0)),)
+    # equal normal forms hash alike, so primes key dicts and sets
+    assert P([1, 0]) == P([2, 0]) and hash(P([1, 0])) == hash(P([2, 0]))
 
 
 def test_canonicalize_rejects_negative_first_column():
@@ -118,6 +120,8 @@ def test_transform_rows_keeps_a_matrix_without_rows():
 
 
 def test_prime_validation():
+    with pytest.raises(DomainError, match="expected a DefiningMatrix"):
+        Prime([[1]])
     with pytest.raises(DomainError):
         Prime(DefiningMatrix([[1, 0], [2, 1]]))  # two nonzero coefficients
     with pytest.raises(DomainError):
@@ -603,6 +607,10 @@ def test_witness_members_of_kernel_subgroup():
     assert H.member([2, -1]) == ExponentVector(Fraction(0), (2, -1))
     with pytest.raises(DomainError):
         KernelSubgroup("graph", 1, ((1,),), (Fraction(0),)).member([1], Fraction(5))
+    with pytest.raises(DomainError, match="one ell value per basis row"):
+        KernelSubgroup("graph", 1, ((1,),), (1, 2))
+    with pytest.raises(DomainError, match="lattice rows must have length n"):
+        KernelSubgroup("product", 2, ((1,),))
     full = KernelSubgroup.full(2)
     assert full.rank == 3
     assert full.contains(ExponentVector(Fraction(7, 3), (1, 1)))
@@ -671,6 +679,8 @@ def test_classify_examples():
     assert classify(P([1, R2, R3])) == CONT
     assert classify(P([0, 0, 1], [1, 0, 0])) == NON_CONTINUOUS
     assert classify(P([0, 1, 0])) == COEFFICIENT_BLIND
+    # no rows: every coefficient entry is zero
+    assert classify(canonicalize(DefiningMatrix([], n=2))) == COEFFICIENT_BLIND
 
 
 def test_min_filter_dim_table():
