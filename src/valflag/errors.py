@@ -3,7 +3,9 @@
 Every refusal of a caller's input by a public name is a ValflagError.  An
 exact value is an int that is not a bool, a Fraction, or, where a scalar
 is expected, a string of the scalar grammar; a float, a bool, None or any
-other value raises DomainError (scalars.exact_int and exact_rational).
+other value raises DomainError (scalars.exact_int and exact_rational).  An
+argument typed as a class, such as the Prime or ExponentVector of a
+decision function, must be an instance of it, or expect raises DomainError.
 
 Exit-code mapping used by the CLI: ParseError -> 2, everything else
 derived from ValflagError -> 3.
@@ -46,3 +48,14 @@ class DomainError(ValflagError, ValueError):
 class CapacityError(ValflagError):
     """A configured resource bound was exceeded: the radical cap, which
     bounds the distinct primes under the square roots of one scalar."""
+
+
+def expect(value, cls, what: str):
+    """value itself when it is an instance of cls (a class or a tuple of
+    classes); DomainError naming what and the expected class otherwise."""
+    if not isinstance(value, cls):
+        names = " or ".join(
+            c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,))
+        )
+        raise DomainError(f"{what} must be of type {names}, got {value!r}")
+    return value

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Optional, Sequence
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, expect
 from .polyhedra import (
     Flag,
     GammaPolyhedralSet,
@@ -40,7 +40,7 @@ from .prime import (
     classify,
     final_kernel,
 )
-from .scalars import Scalar, dot, exact_int, exact_rational, exact_vector
+from .scalars import Scalar, dot, exact_int, exact_rational, exact_rows, exact_vector
 from .tropical import ExponentVector
 
 
@@ -113,6 +113,7 @@ def filter_member(
     """
     if classify(P) != CONT:
         raise DomainError("filter membership needs a cont prime")
+    expect(U, (GammaPolyhedralSet, GammaPolyhedron), "U")
     if isinstance(U, GammaPolyhedron):
         U = GammaPolyhedralSet([U])
     flag = flag_from_matrix(P, "polyhedra")
@@ -128,11 +129,13 @@ def halfspace_member(P: Prime, a: ExponentVector) -> bool:
     A pure lex comparison: true exactly when a ≤_P 1, that is, when the lex
     sign of C·a is not positive.
     """
-    return P.matrix.sign_lex(a) <= 0
+    expect(P, Prime, "P")
+    return P.matrix.sign_lex(expect(a, ExponentVector, "term")) <= 0
 
 
 def halfspace_polyhedron(a: ExponentVector) -> GammaPolyhedron:
     """The half-space {x : ⟨x, u⟩ ≤ −γ} cut out by R(1, aχ^u)."""
+    expect(a, ExponentVector, "term")
     return GammaPolyhedron(a.n, [(a.u, -a.gamma)])
 
 
@@ -155,8 +158,11 @@ def farkas_certify(
     weights r_l satisfy u = Σ r_l u_l and Σ r_l γ_l ≥ γ; m clears their
     denominators, m_l = m·r_l and b = Σ m_l γ_l − m·γ.
     """
-    constraints = list(constraints)
-    n = target.n
+    constraints = exact_vector(
+        constraints, "constraints",
+        lambda c: expect(c, ExponentVector, "constraint"),
+    )
+    n = expect(target, ExponentVector, "target").n
     if any(c.n != n for c in constraints):
         raise DimensionError("terms in different variable counts")
     violated = IneqSystem(n)
@@ -259,8 +265,11 @@ def reconstruct_preorder(
     queries settle each pair.  A filter answers yes to at least one of
     them; both answers false mean the oracle is not a filter.
     """
+    expect(oracle, Callable, "oracle")
     results = []
-    for s, t in pairs:
+    for s, t in exact_rows(pairs, 2, "term pair"):
+        expect(s, ExponentVector, "term")
+        expect(t, ExponentVector, "term")
         le = oracle(s.sub(t))
         ge = oracle(t.sub(s))
         if le and ge:

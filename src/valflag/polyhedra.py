@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, expect
 from .prime import DefiningMatrix, EqualityVerdict, Prime, canonicalize, classify, decide_equal, CONT
 from .linalg import field_rank
 from .scalars import ONE, Scalar, ScalarLike, ZERO, dot, exact_int, exact_rational, exact_rows, exact_vector, simplest_between
@@ -267,7 +267,7 @@ def fm_feasible(
     back-substitution: is_neighborhood, in_cone and
     GammaPolyhedron.is_empty.
     """
-    final, levels = _eliminate(system)
+    final, levels = _eliminate(expect(system, IneqSystem, "system"))
     if not _consistent(final):
         return False, None
     return True, _back_substitute(levels)
@@ -454,7 +454,10 @@ def rational_set(
     For a cont prime P, filter_member(P, rational_set(f0, F)) is a member
     exactly when compare(P, f, f0) is not GREATER for every f in F.
     """
-    n = f0.n
+    n = expect(f0, TropPolynomial, "f0").n
+    others = exact_vector(
+        others, "others", lambda g: expect(g, TropPolynomial, "polynomial")
+    )
     for g in others:
         if g.n != n:
             raise DimensionError("polynomials in different variable counts")
@@ -539,6 +542,7 @@ def flag_from_matrix(P: Prime, kind: Optional[str] = None) -> Flag:
     vertex from row 0 (whose coefficient entry is 1) and one direction per
     further row.
     """
+    expect(P, Prime, "P")
     if kind is None:
         kind = "polyhedra" if classify(P) == CONT else "cones"
     rows = P.matrix.rows
@@ -555,7 +559,7 @@ def flag_from_matrix(P: Prime, kind: Optional[str] = None) -> Flag:
 
 def matrix_from_flag(F: Flag) -> DefiningMatrix:
     """Defining matrix whose flag is F (not canonicalized here)."""
-    if F.kind == "cones":
+    if expect(F, Flag, "flag").kind == "cones":
         return DefiningMatrix([list(F.base)] + [list(v) for v in F.dirs])
     one = Scalar.rational(1)
     rows = [[one] + list(F.base)]
@@ -570,7 +574,8 @@ def is_neighborhood(U: GammaPolyhedron, F: Flag) -> bool:
     U's rows become weak constraints on the λ and feasibility is checked
     per member.
     """
-    if F.kind != "polyhedra":
+    expect(U, GammaPolyhedron, "U")
+    if expect(F, Flag, "flag").kind != "polyhedra":
         raise DomainError("neighborhood test is for polyhedra flags")
     if U.n != F.d:
         raise DimensionError("polyhedron and flag dimensions differ")
@@ -594,7 +599,7 @@ def locally_equivalent(F: Flag, G: Flag) -> EqualityVerdict:
     Reduces to decide_equal on the canonical matrices built from the
     flags.
     """
-    if F.kind != G.kind:
+    if expect(F, Flag, "flag").kind != expect(G, Flag, "flag").kind:
         raise DomainError("flags of different kinds")
     if F.d != G.d:
         raise DimensionError("flags in different ambient dimensions")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, expect
 from .linalg import in_lattice, independent_rows, integer_kernel
 from .scalars import ZERO, Scalar, ScalarLike, dot, exact_int, exact_rational, exact_vector, rational_part_basis, simplest_between
 from .tropical import NEG_INF, ExponentVector, TropPolynomial
@@ -209,6 +209,8 @@ def canonicalize(matrix: DefiningMatrix | Sequence[Sequence[ScalarLike]]) -> Pri
 def _top_term(P: Prime, f: TropPolynomial) -> Optional[ExponentVector]:
     """A term of f with the lex-largest value, the first in sorted order
     among ties; None for the zero polynomial."""
+    expect(P, Prime, "P")
+    expect(f, TropPolynomial, "polynomial")
     if P.n != f.n:
         raise DimensionError(f"polynomial in {f.n} variables, prime has {P.n}")
     best = None
@@ -240,6 +242,9 @@ def compare(P: Prime, f: TropPolynomial, g: TropPolynomial) -> str:
 
 def compare_terms(P: Prime, a: ExponentVector, b: ExponentVector) -> str:
     """Term comparison: the lex sign of C·(a − b), since C is linear."""
+    expect(P, Prime, "P")
+    expect(a, ExponentVector, "term")
+    expect(b, ExponentVector, "term")
     s = P.matrix.sign_lex(a.sub(b))
     return LESS if s < 0 else GREATER if s > 0 else EQUAL
 
@@ -414,6 +419,7 @@ def _stages(P: Prime):
 
 def final_kernel(P: Prime) -> KernelSubgroup:
     """The subgroup {w in ℚ x Z^n : C·w = 0}: the last H of the stages."""
+    expect(P, Prime, "P")
     for H, _ in _stages(P):
         pass
     return H
@@ -542,8 +548,8 @@ def decide_equal(A: Prime, B: Prime) -> EqualityVerdict:
     at once: equal normal forms are reachable by row operations, which keep
     every lex sign.  Other pairs walk the kernel stages.
     """
-    if not isinstance(A, Prime) or not isinstance(B, Prime):
-        raise DomainError("decide_equal takes canonical matrices (Prime)")
+    expect(A, Prime, "A")
+    expect(B, Prime, "B")
     if A.n != B.n:
         raise DimensionError(f"primes on {A.n} and {B.n} variables")
     if A == B:
@@ -566,7 +572,7 @@ def decide_equal(A: Prime, B: Prime) -> EqualityVerdict:
 
 def classify(P: Prime) -> str:
     """cont / coefficient_blind / non_continuous, read off the first column."""
-    rows = P.matrix.rows
+    rows = expect(P, Prime, "P").matrix.rows
     if all(not row[0] for row in rows):
         return COEFFICIENT_BLIND
     return CONT if rows[0][0].sign() > 0 else NON_CONTINUOUS

@@ -24,8 +24,11 @@ read only when that OR holds a prime that each operand lacks.
 
 Arithmetic results are built already reduced (squarefree keys, nonzero
 ``Fraction`` coefficients) and skip the reduction that ``Scalar(terms)``
-applies to arbitrary input.  Since a scalar is immutable, a sum with a zero
-addend and a scale by 1 return the other operand itself.
+applies to arbitrary input.  A product of two irrational scalars sums its
+partial products on integer numerators, each operand over its common
+denominator, and builds one ``Fraction`` per result term.  Since a scalar
+is immutable, a sum with a zero addend and a scale by 1 return the other
+operand itself.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import os
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .errors import CapacityError, DomainError, ParseError
+from .errors import CapacityError, DomainError, ParseError, expect
 
 RationalLike = Union[int, Fraction]
 ScalarLike = Union["Scalar", int, Fraction, str]
@@ -298,23 +301,26 @@ class Scalar:
             return self._scale(b[1])
         if len(a) == 1 and 1 in a:
             return other._scale(a[1])
-        prod: dict[int, Fraction] = {}
+        # integer numerators over each operand's common denominator, as in
+        # _interval: the partial products add up as ints, and each result
+        # term is one Fraction
+        da = math.lcm(*(q.denominator for q in a.values()))
+        db = math.lcm(*(q.denominator for q in b.values()))
+        nb = [(n, q.numerator * (db // q.denominator)) for n, q in b.items()]
+        prod: dict[int, int] = {}
         for m, qm in a.items():
-            for n, qn in b.items():
+            x = qm.numerator * (da // qm.denominator)
+            for n, y in nb:
                 # m, n squarefree: sqrt(m)*sqrt(n) = g*sqrt((m/g)*(n/g)), and
                 # (m/g)*(n/g) is squarefree again
                 g = math.gcd(m, n)
                 key = (m // g) * (n // g)
-                coeff = qm * qn * g if g > 1 else qm * qn
-                if key in prod:
-                    acc = prod[key] + coeff
-                    if acc:
-                        prod[key] = acc
-                    else:
-                        del prod[key]
-                else:
-                    prod[key] = coeff
-        return Scalar._reduced(prod, _union(self, other))
+                prod[key] = prod.get(key, 0) + x * y * g
+        den = da * db
+        return Scalar._reduced(
+            {n: Fraction(v, den) for n, v in prod.items() if v},
+            _union(self, other),
+        )
 
     __rmul__ = __mul__
 
@@ -434,9 +440,7 @@ class Scalar:
 
     def approx(self) -> float:
         """Floating approximation; display only, never used in decisions."""
-        return float(
-            sum(float(q) * math.sqrt(n) for n, q in self._terms.items())
-        )
+        return math.fsum(float(q) * math.sqrt(n) for n, q in self.items())
 
     # -- misc -----------------------------------------------------------
 
@@ -627,7 +631,7 @@ def parse_scalar(text: str) -> Scalar:
 
 def format_scalar(s: Scalar) -> str:
     """Canonical text form; parse_scalar(format_scalar(s)) == s."""
-    if s.is_zero():
+    if expect(s, Scalar, "scalar").is_zero():
         return "0"
     parts: list[str] = []
     for n, q in s.items():

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .errors import DimensionError, DomainError, ParseError
+from .errors import DimensionError, DomainError, ParseError, expect
 from .scalars import ONE, RationalLike, Scalar, _Cursor, _parse_int, _parse_rational, dot, exact_int, exact_rational, exact_rows, exact_vector
 
 NEG_INF = float("-inf")
@@ -278,6 +278,10 @@ def parse_term(text: str, names: Sequence[str]) -> ExponentVector:
 
 
 def format_exponent(ev: ExponentVector, names: Sequence[str]) -> str:
+    expect(ev, ExponentVector, "term")
+    names = exact_vector(
+        names, "variable names", lambda x: expect(x, str, "variable name")
+    )
     parts = []
     if ev.gamma != 0 or not any(ev.u):
         parts.append(f"t^{ev.gamma}")
@@ -290,6 +294,6 @@ def format_exponent(ev: ExponentVector, names: Sequence[str]) -> str:
 
 
 def format_poly(f: TropPolynomial, names: Sequence[str]) -> str:
-    if f.is_zero():
+    if expect(f, TropPolynomial, "polynomial").is_zero():
         return "0"
     return " + ".join(format_exponent(ev, names) for ev in f.exponents())

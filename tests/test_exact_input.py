@@ -21,10 +21,26 @@ from valflag import (
     Scalar,
     TropPolynomial,
     ValflagError,
+    canonicalize,
+    classify,
+    compare,
+    compare_terms,
+    farkas_certify,
+    filter_member,
+    final_kernel,
+    flag_from_matrix,
+    format_exponent,
+    halfspace_member,
+    height,
     in_cone,
+    is_order,
+    min_filter_dim,
+    mindim_witness,
     parse_poly,
     parse_scalar,
     parse_term,
+    phi,
+    reconstruct_preorder,
     relative_interior_matrix,
     simplest_between,
     simplicialize,
@@ -207,6 +223,20 @@ def test_parsers_name_what_they_refuse():
     assert parse_poly("x*y", ("x", "y")) == parse_poly("x*y", iter(["x", "y"]))
 
 
+def test_decision_functions_name_the_type_they_expect():
+    P = canonicalize([[1, 0]])
+    with pytest.raises(DomainError, match="P must be of type Prime, got 5"):
+        classify(5)
+    with pytest.raises(
+        DomainError, match="U must be of type GammaPolyhedralSet or GammaPolyhedron"
+    ):
+        filter_member(P, 5)
+    with pytest.raises(DomainError, match="constraint must be of type ExponentVector"):
+        farkas_certify([5], ExponentVector(0, (1,)))
+    with pytest.raises(DomainError, match="variable name must be of type str"):
+        format_exponent(ExponentVector(0, (1,)), [5])
+
+
 def test_readers_keep_exact_values():
     assert exact_int(-3, "x") == -3
     assert exact_rational(2, "x") == Fraction(2)
@@ -226,6 +256,8 @@ def test_readers_keep_exact_values():
 
 def test_refusals_of_caller_input_are_domain_errors():
     # also ValueErrors, for callers that catch those
+    P = canonicalize([[1, 0]])
+    ev = ExponentVector(0, (1,))
     for refuse in (
         lambda: Scalar.sqrt(-3),
         lambda: Scalar.sqrt(2).as_rational(),
@@ -253,6 +285,22 @@ def test_refusals_of_caller_input_are_domain_errors():
         lambda: parse_poly("x", 5),
         lambda: parse_poly(5, ["x"]),
         lambda: parse_term(5, ["x"]),
+        # typed arguments of the decision functions
+        lambda: filter_member(P, 5),
+        lambda: filter_member(5, P),
+        lambda: farkas_certify([5], ev),
+        lambda: halfspace_member(P, 5),
+        lambda: compare(P, 5, 5),
+        lambda: compare_terms(P, 5, 5),
+        lambda: phi(P, 5),
+        lambda: classify(5),
+        lambda: mindim_witness(5),
+        lambda: min_filter_dim(5),
+        lambda: final_kernel(5),
+        lambda: height(5),
+        lambda: is_order(5),
+        lambda: flag_from_matrix(5),
+        lambda: reconstruct_preorder(5, 5),
     ):
         with pytest.raises(DomainError) as info:
             refuse()

@@ -431,6 +431,11 @@ def test_rational_set_halfplane():
     )
     assert len(region.pieces) == 1
     assert region.pieces[0].rows == (((1,), Fraction(1)),)
+    # the polynomials are read once, so an iterator gives the same region
+    region = rational_set(
+        TropPolynomial.unit(1), iter([parse_poly("t^-1*x", ["x"])])
+    )
+    assert region.pieces[0].rows == (((1,), Fraction(1)),)
 
 
 def test_rational_set_against_zero():

@@ -1,3 +1,4 @@
+import itertools
 import operator
 import random
 from fractions import Fraction
@@ -268,6 +269,60 @@ def test_arithmetic_agrees_with_reducing_oracle():
         for got, want in pairs:
             _assert_reduced(got)
             assert got == want and hash(got) == hash(want)
+
+
+def test_products_agree_with_reducing_oracle():
+    # products add up integer numerators over each operand's common
+    # denominator; each result is reduced and hashes as the oracle's
+
+    # the sqrt(6) terms cancel, and the rational result hashes as a Fraction
+    r2, r3 = Scalar.sqrt(2), Scalar.sqrt(3)
+    got = (r2 + r3) * (r2 - r3)
+    _assert_reduced(got)
+    assert got == -1 and got == Fraction(-1) and hash(got) == hash(Fraction(-1))
+    assert (ZERO * (r2 + r3))._terms == {} and ((r2 + r3) * ZERO)._terms == {}
+    for a, b, want in [
+        (r2, r2, 2),
+        (Scalar({2: Fraction(1, 3)}), Scalar({2: Fraction(3, 4)}), Fraction(1, 2)),
+        (Scalar({6: Fraction(5, 7)}), Scalar({6: Fraction(-7, 5)}), -6),
+        (r2 + r3, (r3 - r2)._scale(Fraction(1, 999_983)), Fraction(1, 999_983)),
+    ]:
+        got = a * b
+        _assert_reduced(got)
+        assert got == want and hash(got) == hash(want)
+        assert got.is_rational() and got.as_rational() == want
+
+    rng = random.Random(31)
+    radicands = (1, 2, 3, 5, 6, 10, 15, 30)
+
+    def draw():
+        k = rng.choice((0, 1, 2, 3, 4))
+        return Scalar({
+            r: Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+            for r in rng.sample(radicands, k)
+        })
+
+    draws = [(draw(), draw()) for _ in range(300)]
+    for a, b in draws:
+        for x, y in ((a, b), (a, ZERO), (ZERO, b)):
+            got = x * y
+            _assert_reduced(got)
+            assert got == ref_mul(x, y) and hash(got) == hash(ref_mul(x, y))
+    # a quotient multiplies by conjugates until the divisor is rational
+    for a, b in draws:
+        if b:
+            got = a / b
+            _assert_reduced(got)
+            assert got == ref_div(a, b) and hash(got) == hash(ref_div(a, b))
+
+
+def test_approx_does_not_depend_on_the_order_of_the_terms():
+    terms = [(1, Fraction(49, 4)), (2, Fraction(33)), (3, Fraction(-15)),
+             (6, Fraction(-3, 8))]
+    values = {
+        Scalar(dict(order)).approx() for order in itertools.permutations(terms)
+    }
+    assert len(values) == 1
 
 
 def test_inexact_scalar_input_is_rejected():
