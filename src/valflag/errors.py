@@ -1,11 +1,15 @@
 """Shared exception types.
 
-Every refusal of a caller's input by a public name is a ValflagError.  An
+Every refusal of a caller's input by a public name, a name in
+valflag.__all__ or a method of one of its classes, is a ValflagError.  An
 exact value is an int that is not a bool, a Fraction, or, where a scalar
 is expected, a string of the scalar grammar; a float, a bool, None or any
 other value raises DomainError (scalars.exact_int and exact_rational).  An
 argument typed as a class, such as the Prime or ExponentVector of a
-decision function, must be an instance of it, or expect raises DomainError.
+decision function or the other term of ExponentVector.sub, must be an
+instance of it, or expect raises DomainError.  The inequality systems of
+valflag.polyhedra (IneqSystem, fm_feasible) are private to the package,
+and refuse the same way.
 
 Exit-code mapping used by the CLI: ParseError -> 2, everything else
 derived from ValflagError -> 3.

@@ -7,8 +7,11 @@ relative interior of every flag member.  Half-space queries have a pure
 lex fast path, containments of half-space intersections produce
 multiplicative Farkas certificates or exact counterexample points from one
 elimination, and the minimum member dimension is witnessed by an explicit
-polyhedron whose membership is proved by one exact point in the relative
-interior of each flag member, with no elimination.
+polyhedron, the final kernel's hyperplanes cut by a box around the flag
+vertex.  Its membership is proved by one exact point in the relative
+interior of each flag member, and its dimension by construction: its
+inequalities are strict at the flag vertex, so the dimension is that of
+the hyperplanes, n minus one field rank.  Neither needs an elimination.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from math import lcm
 from typing import Callable, Optional, Sequence
 
 from .errors import DimensionError, DomainError, expect
+from .linalg import field_rank
 from .polyhedra import (
     Flag,
     GammaPolyhedralSet,
@@ -212,8 +216,13 @@ def mindim_witness(P: Prime) -> GammaPolyhedron:
     base + ε·(d_0 + … + d_{i−1}) lies in the relative interior of flag
     member i, on every hyperplane (C·(α, u) = 0), and less than 1 from the
     vertex, which is at least 2.5 inside the box; each point is checked
-    exactly.  The dimension, n minus the kernel rank, is checked by
-    witness.dim().
+    exactly.  The dimension is proved by construction, with no
+    elimination: every row is either half of an equality, its opposite row
+    being present too, or strict at the flag vertex v (⟨v, u⟩ ≠ γ, a
+    structural test with no sign refinement; contains has shown ≤).  A
+    polyhedron with a point that is strict in every other row has the
+    dimension of the affine space its equalities cut out, n minus the rank
+    of their normals, which must be n minus the kernel rank.
     """
     if classify(P) != CONT:
         raise DomainError("minimum-dimension witness needs a cont prime")
@@ -242,8 +251,24 @@ def mindim_witness(P: Prime) -> GammaPolyhedron:
         point = [p + eps * x for p, x in zip(point, v)]
         if not witness.contains(point):
             raise AssertionError(f"witness misses flag member {i}")
-    if witness.dim() != n - K.rank:
-        raise AssertionError(f"witness dimension is not {n - K.rank}")
+    vertex = list(flag.base)
+    present = set(witness.rows)
+    normals = []
+    for u, gamma in witness.rows:
+        minus = tuple(-x for x in u)
+        if (minus, -gamma) in present:
+            if u > minus:  # one normal per pair
+                normals.append([Fraction(x) for x in u])
+        elif dot(vertex, u) == gamma:
+            raise AssertionError(
+                f"witness row {u} <= {gamma} is tight at the flag vertex "
+                "and has no opposite row"
+            )
+    dim = n - field_rank(normals)
+    if dim != n - K.rank:
+        raise AssertionError(
+            f"witness equalities leave dimension {dim}, not {n - K.rank}"
+        )
     return witness
 
 

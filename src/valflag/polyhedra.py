@@ -372,7 +372,7 @@ class GammaPolyhedron:
         return fm_feasible(self.system())[1]
 
     def intersection(self, other: "GammaPolyhedron") -> "GammaPolyhedron":
-        if self.n != other.n:
+        if expect(other, GammaPolyhedron, "other").n != self.n:
             raise DimensionError("intersecting polyhedra of different dimension")
         return GammaPolyhedron(self.n, list(self.rows) + list(other.rows))
 

@@ -85,7 +85,7 @@ class DefiningMatrix:
 
     def _values(self, ev: ExponentVector):
         """The entries of C·(gamma, u), one row at a time."""
-        if ev.n != self.n:
+        if expect(ev, ExponentVector, "term").n != self.n:
             raise DimensionError(
                 f"exponent vector of length {ev.n} for n={self.n}"
             )
@@ -295,6 +295,7 @@ class KernelSubgroup:
 
     @classmethod
     def full(cls, n: int) -> "KernelSubgroup":
+        n = exact_int(n, "kernel dimension", 0)
         basis = tuple(
             tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
         )
@@ -313,7 +314,7 @@ class KernelSubgroup:
         return self.rank == 0
 
     def contains(self, ev: ExponentVector) -> bool:
-        if ev.n != self.n:
+        if expect(ev, ExponentVector, "term").n != self.n:
             raise DimensionError(f"vector of length {ev.n} in ℚ x Z^{self.n}")
         coeffs = in_lattice(self.lattice, ev.u)
         if coeffs is None:

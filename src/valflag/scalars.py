@@ -221,7 +221,7 @@ class Scalar:
 
     @classmethod
     def sqrt(cls, n: int) -> "Scalar":
-        return cls({n: 1})
+        return cls({exact_int(n, "radicand", 0): 1})
 
     @staticmethod
     def coerce(value: ScalarLike) -> "Scalar":
@@ -238,7 +238,7 @@ class Scalar:
         return sorted(self._terms.items())
 
     def coefficient(self, radicand: int) -> Fraction:
-        return self._terms.get(radicand, Fraction(0))
+        return self._terms.get(exact_int(radicand, "radicand", 0), Fraction(0))
 
     def rational_part(self) -> Fraction:
         return self._terms.get(1, Fraction(0))
@@ -251,7 +251,8 @@ class Scalar:
         return not self._terms
 
     def is_rational(self) -> bool:
-        return all(n == 1 for n in self._terms)
+        # the prime mask covers the radicands, so an empty one settles it
+        return not self._primes or all(n == 1 for n in self._terms)
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
@@ -289,7 +290,19 @@ class Scalar:
         )
 
     def __sub__(self, other: ScalarLike) -> "Scalar":
-        return self + (-Scalar.coerce(other))
+        """__add__'s merge with other's coefficients negated in place, so
+        no negated copy of other is built."""
+        other = Scalar.coerce(other)
+        if not other._terms:
+            return self
+        merged = dict(self._terms)
+        for n, q in other._terms.items():
+            acc = merged[n] - q if n in merged else -q
+            if acc:
+                merged[n] = acc
+            else:
+                del merged[n]
+        return Scalar._reduced(merged, _union(self, other))
 
     def __rsub__(self, other: ScalarLike) -> "Scalar":
         return Scalar.coerce(other) - self

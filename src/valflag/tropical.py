@@ -63,6 +63,7 @@ class ExponentVector:
         return ExponentVector(self.gamma * k, tuple(e * k for e in self.u))
 
     def _check(self, other: "ExponentVector") -> None:
+        expect(other, ExponentVector, "other term")
         if len(self.u) != len(other.u):
             raise DimensionError(
                 f"exponent vectors of lengths {len(self.u)} and {len(other.u)}"
@@ -101,6 +102,7 @@ class TropPolynomial:
     @classmethod
     def unit(cls, n: int) -> "TropPolynomial":
         """The multiplicative unit 1 = t^0."""
+        n = exact_int(n, "variable count", 0)
         return cls(n, {(0,) * n: Fraction(0)})
 
     @classmethod
@@ -110,6 +112,7 @@ class TropPolynomial:
 
     @classmethod
     def from_exponent(cls, ev: ExponentVector) -> "TropPolynomial":
+        expect(ev, ExponentVector, "term")
         return cls.term(ev.gamma, ev.u)
 
     # -- structure -------------------------------------------------------
@@ -147,6 +150,7 @@ class TropPolynomial:
     # -- semiring arithmetic ----------------------------------------------
 
     def _check(self, other: "TropPolynomial") -> None:
+        expect(other, TropPolynomial, "other polynomial")
         if self.n != other.n:
             raise DimensionError(
                 f"polynomials in {self.n} and {other.n} variables"
@@ -173,6 +177,7 @@ class TropPolynomial:
     def eval_homog(self, r: Scalar, x: Sequence[Scalar]):
         """max over terms of r*gamma + <x, u>; requires r >= 0."""
         r = Scalar.coerce(r)
+        x = exact_vector(x, "point")
         if r.sign() < 0:
             raise DomainError(f"homogenizing coordinate must be >= 0, got {r}")
         if len(x) != self.n:

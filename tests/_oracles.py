@@ -77,15 +77,14 @@ from valflag import (
     ExponentVector,
     FarkasCertificate,
     GammaPolyhedron,
-    IneqSystem,
     Prime,
     Scalar,
     TropPolynomial,
     canonicalize,
-    fm_feasible,
+    final_kernel,
 )
 from valflag.linalg import xgcd
-from valflag.polyhedra import _feasible
+from valflag.polyhedra import IneqSystem, _feasible, fm_feasible
 from valflag.scalars import ZERO, dot, simplest_between
 
 RatRow = tuple[list[Fraction], Fraction, bool]
@@ -677,6 +676,79 @@ def random_prime(
     if cont and (not P.matrix.rows or P.matrix.rows[0][0].sign() <= 0):
         return random_prime(rng, n, k, cont)
     return P
+
+
+def equal_beyond_row_operations(rng: random.Random, A: Prime) -> Prime:
+    """A with one row appended that vanishes on A's final kernel K, so the
+    preorder stays A's; the row is no combination of A's rows unless those
+    already span every row that vanishes on K.
+
+    The row ρ is drawn at the columns that are no lead of K's generators,
+    (1, 0) in product kind and (ell_j, m_j) with m_j in Hermite form, and
+    solved at the leads, last generator first: a lead is the lead of m_j
+    (column 0 for (1, 0)), generator j is zero between column 0 and its
+    lead, and the leads right of it are already set."""
+    K = final_kernel(A)
+    if K.kind == "graph":
+        gens = [(e, *m) for e, m in zip(K.ell, K.lattice)]
+    else:
+        gens = [(1,) + (0,) * A.n] + [(0, *m) for m in K.lattice]
+    leads = [next((c for c in range(1, A.n + 1) if g[c]), 0) for g in gens]
+    rho = [
+        ZERO if c in leads else random_scalar(rng, irrational_p=0.7)
+        for c in range(A.n + 1)
+    ]
+    for g, c in reversed(list(zip(gens, leads))):
+        rho[c] = -dot(rho, g)._scale(Fraction(1) / g[c])
+    return canonicalize(DefiningMatrix([*A.matrix.rows, rho], n=A.n))
+
+
+def random_cone(rng: random.Random, d: int, m: int):
+    """m integer generators in d variables with entries in -3..3, and a
+    vector: half the time a combination of them with weights in 0..2,
+    otherwise drawn like a generator."""
+    gens = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(m)]
+    if rng.random() < 0.5:
+        weights = [rng.randint(0, 2) for _ in gens]
+        v = [sum(w * g[j] for w, g in zip(weights, gens)) for j in range(d)]
+    else:
+        v = [rng.randint(-3, 3) for _ in range(d)]
+    return v, gens
+
+
+def random_farkas_instance(rng: random.Random, n: int, m: int, kind: str, tight: bool = False):
+    """m constraints in n variables, slack at a point x0 (none when tight),
+    and a target: contained (a nonnegative combination of the constraints,
+    loosened), violated at x0, random, or contained in an empty meet (one
+    constraint negated and tightened)."""
+    x0 = [Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(n)]
+
+    def at_x0(u):
+        return sum((x * e for x, e in zip(x0, u)), Fraction(0))
+
+    constraints = []
+    for _ in range(m):
+        u = tuple(rng.randint(-2, 2) for _ in range(n))
+        gamma = -at_x0(u) - (0 if tight else Fraction(rng.randint(1, 4), 2))
+        constraints.append(ExponentVector(gamma, u))
+    if kind == "empty":
+        c = rng.choice(constraints)
+        gamma = -c.gamma + Fraction(rng.randint(1, 3), 2)
+        constraints.append(ExponentVector(gamma, tuple(-x for x in c.u)))
+        rng.shuffle(constraints)
+    if kind == "violated":
+        u = tuple(rng.randint(-2, 2) for _ in range(n))
+        target = ExponentVector(-at_x0(u) + Fraction(rng.randint(1, 4), 2), u)
+    elif kind == "random":
+        target = random_term(rng, n)
+    else:
+        lam = [rng.randint(0, 2) for _ in constraints]
+        u = tuple(
+            sum(l * c.u[j] for l, c in zip(lam, constraints)) for j in range(n)
+        )
+        gamma = sum((l * c.gamma for l, c in zip(lam, constraints)), Fraction(0))
+        target = ExponentVector(gamma - Fraction(rng.randint(0, 3), 2), u)
+    return constraints, target
 
 
 def random_radical_matrix(rng: random.Random) -> DefiningMatrix:

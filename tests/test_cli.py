@@ -702,6 +702,17 @@ print(outcome(lambda: farkas_certify(
 box = filters._vertex_box
 filters._vertex_box = lambda flag: [(lo + 10, hi + 10) for lo, hi in box(flag)]
 print(outcome(lambda: mindim_witness(canonicalize([[1, "sqrt(2)", 0]]))))
+filters._vertex_box = box
+# one hyperplane pair dropped, so the equalities leave dimension 2, not 1
+polyhedron = filters.GammaPolyhedron
+filters.GammaPolyhedron = lambda n, rows: polyhedron(n, rows[2:])
+print(outcome(lambda: mindim_witness(canonicalize([[1, "sqrt(2)", 0]]))))
+filters.GammaPolyhedron = polyhedron
+# a lower box face through the rational vertex (0, 0): tight, with no
+# opposite row
+filters._vertex_box = lambda flag: [(lo + 3, hi) for lo, hi in box(flag)]
+print(outcome(lambda: mindim_witness(
+    canonicalize([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))))
 # the zero term, on which every lex sign is 0
 prime._separating_member = lambda A, B, H, a, b: ExponentVector(0, (0, 0))
 print(outcome(lambda: decide_equal(
@@ -712,7 +723,7 @@ print(outcome(lambda: decide_equal(
 def test_evidence_checks_hold_under_python_O():
     done = run_python("-O", "-c", OPTIMIZED_EVIDENCE_SCRIPT)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["AssertionError"] * 3
+    assert done.stdout.split() == ["AssertionError"] * 5
 
 
 def test_no_assert_statement_in_src():

@@ -16,7 +16,6 @@ from valflag import (
     Flag,
     GammaPolyhedralSet,
     GammaPolyhedron,
-    IneqSystem,
     KernelSubgroup,
     Scalar,
     TropPolynomial,
@@ -45,6 +44,7 @@ from valflag import (
     simplest_between,
     simplicialize,
 )
+from valflag.polyhedra import IneqSystem, fm_feasible
 from valflag.scalars import ONE, exact_int, exact_rational, exact_vector
 
 BAD = (True, 1.5, None, "1.5")
@@ -301,6 +301,7 @@ def test_refusals_of_caller_input_are_domain_errors():
         lambda: is_order(5),
         lambda: flag_from_matrix(5),
         lambda: reconstruct_preorder(5, 5),
+        lambda: fm_feasible(5),
     ):
         with pytest.raises(DomainError) as info:
             refuse()

@@ -34,6 +34,7 @@ from valflag import (
 from valflag import filters, polyhedra
 
 from _oracles import (
+    random_farkas_instance,
     random_polynomial,
     random_prime,
     random_term,
@@ -239,46 +240,11 @@ def test_farkas_certify_eliminates_once(monkeypatch):
         ("empty", type(None)),
     ):
         for _ in range(5):
-            constraints, target = _farkas_instance(rng, 3, 5, kind)
+            constraints, target = random_farkas_instance(rng, 3, 5, kind)
             calls.clear()
             got = _certify_or_refuse(farkas_certify, constraints, target)
             assert type(got) is want
             assert len(calls) == 1
-
-
-def _farkas_instance(rng, n, m, kind, tight=False):
-    """m constraints in n variables, slack at a point x0 (none when tight),
-    and a target: contained (a nonnegative combination of the constraints,
-    loosened), violated at x0, random, or contained in an empty meet (one
-    constraint negated and tightened)."""
-    x0 = [Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(n)]
-
-    def at_x0(u):
-        return sum((x * e for x, e in zip(x0, u)), Fraction(0))
-
-    constraints = []
-    for _ in range(m):
-        u = tuple(rng.randint(-2, 2) for _ in range(n))
-        gamma = -at_x0(u) - (0 if tight else Fraction(rng.randint(1, 4), 2))
-        constraints.append(ExponentVector(gamma, u))
-    if kind == "empty":
-        c = rng.choice(constraints)
-        gamma = -c.gamma + Fraction(rng.randint(1, 3), 2)
-        constraints.append(ExponentVector(gamma, tuple(-x for x in c.u)))
-        rng.shuffle(constraints)
-    if kind == "violated":
-        u = tuple(rng.randint(-2, 2) for _ in range(n))
-        target = ExponentVector(-at_x0(u) + Fraction(rng.randint(1, 4), 2), u)
-    elif kind == "random":
-        target = random_term(rng, n)
-    else:
-        lam = [rng.randint(0, 2) for _ in constraints]
-        u = tuple(
-            sum(l * c.u[j] for l, c in zip(lam, constraints)) for j in range(n)
-        )
-        gamma = sum((l * c.gamma for l, c in zip(lam, constraints)), Fraction(0))
-        target = ExponentVector(gamma - Fraction(rng.randint(0, 3), 2), u)
-    return constraints, target
 
 
 def _certify_or_refuse(certify, constraints, target):
@@ -298,7 +264,7 @@ def test_farkas_agrees_with_three_elimination_oracle():
     for _ in range(150):
         n, m = rng.randint(1, 6), rng.randint(1, 12)
         kind = rng.choice(("contained", "violated", "random", "empty"))
-        constraints, target = _farkas_instance(rng, n, m, kind)
+        constraints, target = random_farkas_instance(rng, n, m, kind)
         got = _certify_or_refuse(farkas_certify, constraints, target)
         want = _certify_or_refuse(ref_farkas_certify, constraints, target)
         assert type(got) is type(want)
@@ -320,7 +286,7 @@ def test_farkas_contained_certificate_is_fast():
     # degenerate: about 0.06 s here, and minutes and gigabytes for the
     # oracle.
     for seed, tight in ((10, False), (3, True)):
-        constraints, target = _farkas_instance(
+        constraints, target = random_farkas_instance(
             random.Random(seed), 5, 14, "contained", tight
         )
         start = time.perf_counter()
@@ -385,7 +351,8 @@ def test_mindim_witness_needs_cont():
 def test_mindim_witness_random_primes():
     # filter_member, which runs is_neighborhood's eliminations, and the
     # unpruned ref_dim check the witness independently of the flag points
-    # and the one-pass dim() that mindim_witness checks it with
+    # and of the rank check that proves mindim_witness's dimension by
+    # construction
     rng = random.Random(181)
     for _ in range(30):
         n = rng.randint(1, 4)
@@ -395,16 +362,38 @@ def test_mindim_witness_random_primes():
         assert ref_dim(W) == min_filter_dim(pr)
 
 
-def test_mindim_witness_needs_no_neighborhood_test(monkeypatch):
+def test_mindim_witness_needs_no_elimination(monkeypatch):
+    # neither the neighborhood test nor any other elimination
     def refuse(*args):
-        raise AssertionError("is_neighborhood called")
+        raise AssertionError("elimination called")
 
-    monkeypatch.setattr(filters, "is_neighborhood", refuse)
-    monkeypatch.setattr(polyhedra, "is_neighborhood", refuse)
-    rng = random.Random(182)
-    for _ in range(10):
-        pr = random_prime(rng, rng.randint(1, 4), cont=True)
-        assert mindim_witness(pr).dim() == min_filter_dim(pr)
+    for module in (filters, polyhedra):
+        monkeypatch.setattr(module, "is_neighborhood", refuse)
+        monkeypatch.setattr(module, "_eliminate", refuse)
+    rng = random.Random(183)
+    primes = [random_prime(rng, rng.randint(1, 6), cont=True) for _ in range(20)]
+    witnesses = [mindim_witness(pr) for pr in primes]
+    monkeypatch.undo()
+    for pr, W in zip(primes, witnesses):
+        assert W.dim() == min_filter_dim(pr)
+
+
+def test_mindim_witness_refuses_a_witness_without_its_proof(monkeypatch):
+    # one hyperplane pair dropped: the points still check, the rank does not
+    whole = filters.GammaPolyhedron
+    with monkeypatch.context() as m:
+        m.setattr(filters, "GammaPolyhedron", lambda n, rows: whole(n, rows[2:]))
+        with pytest.raises(AssertionError, match="dimension 2, not 1"):
+            mindim_witness(P([1, R2, 0]))
+    # a lower box face through the rational vertex, which the flag's
+    # directions leave into the box: the witness keeps its dimension, but
+    # the face is tight at the vertex, so nothing proves it
+    box = filters._vertex_box
+    monkeypatch.setattr(
+        filters, "_vertex_box", lambda flag: [(lo + 3, hi) for lo, hi in box(flag)]
+    )
+    with pytest.raises(AssertionError, match=r"row \(-1, 0\) <= 0 is tight"):
+        mindim_witness(P([1, 0, 0], [0, 1, 0], [0, 0, 1]))
 
 
 # -- preorder reconstruction ----------------------------------------------------

@@ -1,7 +1,8 @@
-"""Seeded refusal fuzzing: every public function and class, fed nested junk
-in each argument, returns or raises a ValflagError, also next to correctly
-typed arguments, and so does every parser, fed random strings over the
-grammar's alphabet.
+"""Seeded refusal fuzzing: every public function and class, and the methods
+of the public classes that take a typed argument, fed nested junk in each
+argument, returns or raises a ValflagError, also next to correctly typed
+arguments, and so does every parser, fed random strings over the grammar's
+alphabet.
 """
 
 import inspect
@@ -18,7 +19,6 @@ from valflag import (
     Flag,
     GammaPolyhedralSet,
     GammaPolyhedron,
-    IneqSystem,
     KernelSubgroup,
     MembershipAnswer,
     Prime,
@@ -34,7 +34,6 @@ from valflag import (
     filter_member,
     final_kernel,
     flag_from_matrix,
-    fm_feasible,
     format_exponent,
     format_poly,
     format_scalar,
@@ -58,6 +57,7 @@ from valflag import (
     simplest_between,
     simplicialize,
 )
+from valflag.polyhedra import IneqSystem, fm_feasible
 
 WORDS = ["", "1", "-2", "1/2", "sqrt(2)", "x", "bogus", "product", "graph",
          "polyhedra", "cones"]
@@ -95,6 +95,7 @@ TERM = ExponentVector(1, (1, 0))
 POLY = parse_poly("x + t^1*y", ["x", "y"])
 FLAG = flag_from_matrix(P)
 BOX = GammaPolyhedron(2, [((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)])
+KERNEL = final_kernel(P)
 
 # name -> (call, arity); a name's first word is the public name it feeds
 TARGETS = {
@@ -105,7 +106,6 @@ TARGETS = {
     "DefiningMatrix": (DefiningMatrix, 2),
     "canonicalize": (canonicalize, 1),
     "KernelSubgroup": (KernelSubgroup, 4),
-    "IneqSystem": (IneqSystem, 2),
     "GammaPolyhedron": (GammaPolyhedron, 2),
     "GammaPolyhedralSet": (GammaPolyhedralSet, 1),
     "Flag": (Flag, 3),
@@ -150,7 +150,6 @@ TARGETS = {
     "is_neighborhood flag": (lambda F: is_neighborhood(BOX, F), 1),
     "locally_equivalent": (locally_equivalent, 2),
     "locally_equivalent G": (lambda G: locally_equivalent(FLAG, G), 1),
-    "fm_feasible": (fm_feasible, 1),
     "rational_set": (rational_set, 3),
     "rational_set others": (lambda others: rational_set(POLY, others), 1),
     "filter_member": (filter_member, 2),
@@ -166,6 +165,25 @@ TARGETS = {
         lambda pairs: reconstruct_preorder(lambda a: halfspace_member(P, a), pairs),
         1,
     ),
+    # methods of the public classes, on a correctly typed instance
+    "Scalar.sqrt": (Scalar.sqrt, 1),
+    "Scalar.coefficient": (Scalar.sqrt(2).coefficient, 1),
+    "ExponentVector.add": (TERM.add, 1),
+    "ExponentVector.sub": (TERM.sub, 1),
+    "DefiningMatrix.sign_lex": (P.matrix.sign_lex, 1),
+    "DefiningMatrix.apply": (P.matrix.apply, 1),
+    "TropPolynomial.__add__": (POLY.__add__, 1),
+    "TropPolynomial.__mul__": (POLY.__mul__, 1),
+    "TropPolynomial.eval_at": (POLY.eval_at, 1),
+    "TropPolynomial.eval_homog": (POLY.eval_homog, 2),
+    "TropPolynomial.from_exponent": (TropPolynomial.from_exponent, 1),
+    "TropPolynomial.unit": (TropPolynomial.unit, 1),
+    "GammaPolyhedron.intersection": (BOX.intersection, 1),
+    "KernelSubgroup.contains": (KERNEL.contains, 1),
+    "KernelSubgroup.full": (KernelSubgroup.full, 1),
+    # private to valflag.polyhedra since they left __all__
+    "IneqSystem": (IneqSystem, 2),
+    "fm_feasible": (fm_feasible, 1),
 }
 
 ALPHABET = ["0", "1", "2", "7", "/", "+", "-", "*", "^", "(", ")", "sqrt",

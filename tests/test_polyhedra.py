@@ -10,14 +10,12 @@ from valflag import (
     Flag,
     GammaPolyhedralSet,
     GammaPolyhedron,
-    IneqSystem,
     NEG_INF,
     Scalar,
     TropPolynomial,
     canonicalize,
     decide_equal,
     flag_from_matrix,
-    fm_feasible,
     in_cone,
     is_neighborhood,
     locally_equivalent,
@@ -28,11 +26,13 @@ from valflag import (
     simplicialize,
 )
 from valflag.polyhedra import (
+    IneqSystem,
     _back_substitute,
     _consistent,
     _eliminate,
     _feasible,
     _weights,
+    fm_feasible,
 )
 from valflag.scalars import ONE, ZERO, dot
 

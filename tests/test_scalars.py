@@ -232,6 +232,8 @@ def _assert_reduced(s):
         assert squarefree_split(n) == (1, n)
         assert type(q) is Fraction and q != 0
         assert _prime_mask(n) & ~s._primes == 0
+    # is_rational may stop at an empty mask, but must agree with the scan
+    assert s.is_rational() == all(n == 1 for n in s._terms)
 
 
 def test_arithmetic_agrees_with_reducing_oracle():
@@ -257,6 +259,8 @@ def test_arithmetic_agrees_with_reducing_oracle():
             (ZERO + a, ref_add(ZERO, a)),
             (0 + a, ref_add(ZERO, a)),
             (a - ZERO, ref_sub(a, ZERO)),
+            (ZERO - a, ref_sub(ZERO, a)),
+            (a - a, ref_sub(a, a)),
             (sum([a]), ref_add(ZERO, a)),
             (a._scale(1), ref_scale(a, Fraction(1))),
             (a._scale(Fraction(1)), ref_scale(a, Fraction(1))),
