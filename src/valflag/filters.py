@@ -27,7 +27,6 @@ from .polyhedra import (
     Flag,
     GammaPolyhedralSet,
     GammaPolyhedron,
-    IneqSystem,
     _back_substitute,
     _consistent,
     _eliminate,
@@ -160,7 +159,10 @@ def farkas_certify(
     Farkas lemma, read off by polyhedra._weights) are the certificate, with
     a positive target weight.  Scaled to target weight 1, the constraint
     weights r_l satisfy u = Σ r_l u_l and Σ r_l γ_l ≥ γ; m clears their
-    denominators, m_l = m·r_l and b = Σ m_l γ_l − m·γ.
+    denominators, m_l = m·r_l and b = Σ m_l γ_l − m·γ.  Every entry of
+    the violated system is rational, so it is eliminated on Fractions read
+    straight from the terms, and the point and the weights come out as
+    Fractions; the point leaves as Scalars.
     """
     constraints = exact_vector(
         constraints, "constraints",
@@ -169,28 +171,21 @@ def farkas_certify(
     n = expect(target, ExponentVector, "target").n
     if any(c.n != n for c in constraints):
         raise DimensionError("terms in different variable counts")
-    violated = IneqSystem(n)
-    for c in constraints:
-        violated.add(c.u, -c.gamma)
-    violated.add([-x for x in target.u], target.gamma, strict=True)
+    violated = [(c.u, -c.gamma, False) for c in constraints]
+    violated.append((tuple(-x for x in target.u), target.gamma, True))
     target_bit = 1 << len(constraints)
-    final, levels = _eliminate(violated, target_bit)
+    final, levels = _eliminate(n, violated, target_bit)
     if not _consistent([row for row in final if not row[4] & target_bit]):
         raise DomainError("the constraint intersection is empty")
     if _consistent(final):
         point = _back_substitute(levels)
-        value = Scalar.rational(target.gamma) + dot(list(point), target.u)
-        if value.sign() <= 0:
+        if _value(target, point) <= 0:
             raise AssertionError("counterexample point satisfies the target")
-        for c in constraints:
-            cv = Scalar.rational(c.gamma) + dot(list(point), c.u)
-            if cv.sign() > 0:
-                raise AssertionError("counterexample point violates a constraint")
-        return CounterexamplePoint(point)
+        if any(_value(c, point) > 0 for c in constraints):
+            raise AssertionError("counterexample point violates a constraint")
+        return CounterexamplePoint(tuple(map(Scalar.coerce, point)))
     (contradiction,) = [row for row in final if row[4] & target_bit]
-    *weights, target_weight = [
-        w.as_rational() for w in _weights(contradiction, len(violated.rows))
-    ]
+    *weights, target_weight = _weights(contradiction, len(violated))
     if target_weight <= 0:
         raise AssertionError("contradiction without a positive target weight")
     rationals = [w / target_weight for w in weights]
@@ -203,6 +198,11 @@ def farkas_certify(
     if not cert.holds_for(constraints, target):
         raise AssertionError(f"certificate {cert} fails its identity")
     return cert
+
+
+def _value(a: ExponentVector, point: Sequence) -> Fraction | Scalar:
+    """γ + ⟨x, u⟩ at the point, the log of aχ^u there."""
+    return a.gamma + sum(x * y for x, y in zip(point, a.u))
 
 
 def mindim_witness(P: Prime) -> GammaPolyhedron:

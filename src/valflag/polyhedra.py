@@ -8,6 +8,13 @@ back-substitution.  ``filters.farkas_certify`` eliminates its violated
 system once, split on the target row so that the rows built without it
 decide the constraints' meet, and reads off either the sample point or the
 multipliers of the final contradiction.
+Each elimination runs in the field its rows come from, chosen once per
+system: ``Fraction``s when every entry is rational, as on every Γ-rational
+polyhedron and every Farkas system, and ``Scalar``s when some entry has a
+square root, as on a flag with an irrational vertex.  Both fields compare,
+hash and sign the same rational values alike, so the choice changes the
+Python type of the values and never the values; points leave as
+``Scalar``s.
 Rows under elimination are scaled so that the last nonzero entry of each
 normal, the one it is eliminated on, is 1 or -1; two rows then combine by
 addition.  Each row carries two bitmasks over the input rows: a label,
@@ -24,9 +31,11 @@ membership.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from operator import methodcaller
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import DimensionError, DomainError, expect
 from .prime import DefiningMatrix, EqualityVerdict, Prime, canonicalize, classify, decide_equal, CONT
@@ -34,7 +43,9 @@ from .linalg import field_rank
 from .scalars import ONE, Scalar, ScalarLike, ZERO, dot, exact_int, exact_rational, exact_rows, exact_vector, simplest_between
 from .tropical import TropPolynomial
 
-Row = tuple[tuple[Scalar, ...], Scalar, bool]
+# A system row (normal, rhs, strict); an entry is an int, a Fraction or a
+# Scalar.
+Row = tuple[Sequence[ScalarLike], ScalarLike, bool]
 
 
 class IneqSystem:
@@ -44,7 +55,7 @@ class IneqSystem:
 
     def __init__(self, d: int, rows: Sequence[Row] = ()):
         self.d = exact_int(d, "variable count", 0)
-        self.rows: list[Row] = []
+        self.rows: list[tuple[tuple[Scalar, ...], Scalar, bool]] = []
         for row in exact_rows(rows, 3, "system row (normal, rhs, strict)"):
             self.add(*row)
 
@@ -64,30 +75,82 @@ class IneqSystem:
         self.rows.append((coeffs, Scalar.coerce(rhs), strict))
 
 
-# A row under elimination: (normal, rhs, strict, label, support, origin).
-# label and support are bitmasks over the input rows; origin is (factor, i)
-# for input row i and (factor, (pos, neg)) for the sum of two rows of the
-# level before, and the row is factor times that.
-_MaskedRow = tuple[tuple[Scalar, ...], Scalar, bool, int, int, tuple]
+# -- the field of an elimination ----------------------------------------------
+
+# An element of the field a system is eliminated in.
+Value = Fraction | Scalar
+
+
+def _as_fraction(x: ScalarLike) -> Fraction:
+    """A rational int, Fraction or Scalar as a Fraction."""
+    if isinstance(x, Scalar):
+        return x.rational_part()
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _fraction_sign(q: Fraction) -> int:
+    return (q.numerator > 0) - (q.numerator < 0)
+
+
+class _Field(NamedTuple):
+    """The field a system is eliminated in: its zero and one, its sign test,
+    and the reader that takes an entry, or any rational, into it."""
+
+    zero: Value
+    one: Value
+    sign: Callable[[Value], int]
+    read: Callable[[ScalarLike], Value]
+
+
+_FRACTIONS = _Field(Fraction(0), Fraction(1), _fraction_sign, _as_fraction)
+# sign is looked up on each call, as x.sign() would be, so that a wrapper
+# put on Scalar.sign later (perfbench's tracer) still sees every call
+_SCALARS = _Field(ZERO, ONE, methodcaller("sign"), Scalar.coerce)
+
+
+def _field(rows: Sequence[Row]) -> _Field:
+    """Fractions when every entry of the rows is rational, else Scalars."""
+    for coeffs, rhs, _ in rows:
+        for x in (rhs, *coeffs):
+            if isinstance(x, Scalar) and not x.is_rational():
+                return _SCALARS
+    return _FRACTIONS
+
+
+def _field_of(x: Value) -> _Field:
+    """The field that a value under elimination lies in."""
+    return _SCALARS if isinstance(x, Scalar) else _FRACTIONS
+
+
+# -- Fourier-Motzkin elimination ----------------------------------------------
+
+# A row under elimination: (normal, rhs, strict, label, support, origin),
+# its entries in the field of its system.  label and support are bitmasks
+# over the input rows; origin is (factor, i) for input row i and
+# (factor, (pos, neg)) for the sum of two rows of the level before, and the
+# row is factor times that.
+_MaskedRow = tuple[tuple[Value, ...], Value, bool, int, int, tuple]
 
 
 def _normalize_row(
-    coeffs: tuple[Scalar, ...],
-    rhs: Scalar,
+    coeffs: tuple[Value, ...],
+    rhs: Value,
     strict: bool,
     label: int,
     support: int,
     source: int | tuple[_MaskedRow, _MaskedRow],
+    field: _Field,
 ) -> _MaskedRow:
     """The row scaled so that its last nonzero entry is 1 or -1; the
     inverse it is scaled by is the factor of its origin."""
-    pivot = next((x for x in reversed(coeffs) if x), ONE)
-    size = pivot if pivot.sign() > 0 else -pivot
-    if size == ONE:
-        return (coeffs, rhs, strict, label, support, (ONE, source))
-    inv = ONE / size
+    one = field.one
+    pivot = next((x for x in reversed(coeffs) if x), one)
+    size = pivot if field.sign(pivot) > 0 else -pivot
+    if size == one:
+        return (coeffs, rhs, strict, label, support, (one, source))
+    inv = one / size
     return (
-        tuple(x * inv for x in coeffs),
+        tuple(x * inv if x else x for x in coeffs),
         rhs * inv,
         strict,
         label,
@@ -96,12 +159,14 @@ def _normalize_row(
     )
 
 
-def _dedup(rows: list[_MaskedRow], split: int = 0) -> list[_MaskedRow]:
+def _dedup(
+    rows: list[_MaskedRow], sign: Callable[[Value], int], split: int = 0
+) -> list[_MaskedRow]:
     """One row per normal and class (rows come with last nonzero entry ±1:
     one key per ray; a row's class is whether its support meets split): the
     tightest, labelled with the intersection of the merged labels; its
-    support is the union over exact ties."""
-    best: dict[tuple[tuple[Scalar, ...], bool], _MaskedRow] = {}
+    support is the union over exact ties.  sign is the field's sign test."""
+    best: dict[tuple[tuple[Value, ...], bool], _MaskedRow] = {}
     for row in rows:
         coeffs, rhs, strict, label, support, origin = row
         key = (coeffs, support & split != 0)
@@ -111,7 +176,7 @@ def _dedup(rows: list[_MaskedRow], split: int = 0) -> list[_MaskedRow]:
             continue
         _, old_rhs, old_strict, old_label, old_support, old_origin = seen
         label &= old_label
-        diff = (rhs - old_rhs).sign()
+        diff = sign(rhs - old_rhs)
         if diff < 0 or (diff == 0 and strict and not old_strict):
             best[key] = (coeffs, rhs, strict, label, support, origin)
         elif diff == 0 and strict == old_strict:
@@ -126,9 +191,10 @@ def _dedup(rows: list[_MaskedRow], split: int = 0) -> list[_MaskedRow]:
 
 
 def _eliminate(
-    system: IneqSystem, split: int = 0
+    d: int, rows: Sequence[Row], split: int = 0
 ) -> tuple[list[_MaskedRow], list[tuple[list[_MaskedRow], list[_MaskedRow]]]]:
-    """Fourier-Motzkin elimination of every variable, last to first.
+    """Fourier-Motzkin elimination of every variable of the rows, d of
+    them, last to first.
 
     Returns the final rows (all with zero normal, so at most one final row
     per class after _dedup, see split below) and, per variable k, the rows
@@ -138,6 +204,17 @@ def _eliminate(
     would keep every answer: rows on one ray share a scale in _dedup, and
     zero normals are read only through the signs of their right-hand
     sides.
+
+    The field is chosen once, from the entries: every row is read into
+    Fractions when every entry is rational (an int, a Fraction or a Scalar
+    without radicals), and into Scalars otherwise.  The choice cannot
+    change an answer.  A rational value is the same number in either
+    field; a Fraction and a rational Scalar of that value compare equal,
+    hash alike and have the same sign; and the elimination applies the
+    same operations to the same values in either.  So _dedup keys the same
+    rows in the same order and keeps the same rows, labels, supports and
+    origins, and the back-substituted point and the multipliers are the
+    same numbers.
 
     Each row carries two masks over the input rows.  Its support is the
     set of input rows with a positive multiplier in it: the union of its
@@ -187,22 +264,24 @@ def _eliminate(
     is positive.  It need not be the unsplit run's final row: labels are
     intersected within a class only, so the classes prune differently.
     """
-    d = system.d
+    field = _field(rows)
+    zero, _, sign, read = field
     work = _dedup([
-        _normalize_row(c, r, s, 1 << i, 1 << i, i)
-        for i, (c, r, s) in enumerate(system.rows)
-    ], split)
+        _normalize_row(
+            tuple(map(read, c)), read(r), s, 1 << i, 1 << i, i, field
+        )
+        for i, (c, r, s) in enumerate(rows)
+    ], sign, split)
     levels: list[tuple[list[_MaskedRow], list[_MaskedRow]]] = [([], [])] * d
     for k in range(d - 1, -1, -1):
         max_bits = d - k + 1
-        # rows with entry 0, 1 and -1 on x_k, indexed by that entry
+        # rows with entry 0, 1 and -1 on x_k, indexed by that entry's sign
         parts: tuple[list[_MaskedRow], ...] = ([], [], [])
         for row in work:
-            parts[row[0][k].sign()].append(row)
-        zero, pos, neg = parts
+            parts[sign(row[0][k])].append(row)
+        combined, pos, neg = parts
         levels[k] = (pos, neg)
-        combined = zero
-        tail = (ZERO,) * (d - k)
+        tail = (zero,) * (d - k)
         for prow in pos:
             pc, pr, ps, pl, pm, _ = prow
             pc = pc[:k]
@@ -213,25 +292,26 @@ def _eliminate(
                     continue
                 coeffs = tuple(x + y for x, y in zip(pc, nc)) + tail
                 combined.append(_normalize_row(
-                    coeffs, pr + nr, ps or ns, label, pm | nm, (prow, nrow)
+                    coeffs, pr + nr, ps or ns, label, pm | nm, (prow, nrow),
+                    field,
                 ))
-        work = _dedup(combined, split)
+        work = _dedup(combined, sign, split)
     return work, levels
 
 
 def _weights(
-    row: _MaskedRow, count: int, memo: Optional[dict[int, list[Scalar]]] = None
-) -> list[Scalar]:
+    row: _MaskedRow, count: int, memo: Optional[dict[int, list[Value]]] = None
+) -> list[Value]:
     """The multipliers λ of the count input rows with row = Σ λ_i·input_i,
-    read off the row's origins (see _eliminate).  memo holds the rows
-    already walked in this call, by identity."""
+    read off the row's origins (see _eliminate), in the row's field.  memo
+    holds the rows already walked in this call, by identity."""
     if memo is None:
         memo = {}
     w = memo.get(id(row))
     if w is None:
         factor, source = row[5]
         if isinstance(source, int):
-            w = [ZERO] * count
+            w = [_field_of(factor).zero] * count
             w[source] = factor
         else:
             p, n = source
@@ -245,15 +325,14 @@ def _weights(
 
 def _consistent(final: list[_MaskedRow]) -> bool:
     for _, rhs, strict, _, _, _ in final:
-        s = rhs.sign()
-        if s < 0 or (strict and s == 0):
+        if rhs < 0 or (strict and not rhs):
             return False
     return True
 
 
 def _feasible(system: IneqSystem) -> bool:
     """Fourier-Motzkin feasibility without a sample point."""
-    return _consistent(_eliminate(system)[0])
+    return _consistent(_eliminate(system.d, system.rows)[0])
 
 
 def fm_feasible(
@@ -262,68 +341,84 @@ def fm_feasible(
     """Fourier-Motzkin feasibility with an exact sample point.
 
     Variables are eliminated by _eliminate, with Chernikov pruning, and a
-    consistent system's point is read off by _back_substitute.  Callers
-    that need only the answer use _feasible, which skips the
-    back-substitution: is_neighborhood, in_cone and
-    GammaPolyhedron.is_empty.
+    consistent system's point is read off by _back_substitute and returned
+    as Scalars, whichever field the elimination ran in.  Callers that need
+    only the answer skip the back-substitution: _feasible (in_cone),
+    is_neighborhood and GammaPolyhedron.is_empty.
     """
-    final, levels = _eliminate(expect(system, IneqSystem, "system"))
+    expect(system, IneqSystem, "system")
+    final, levels = _eliminate(system.d, system.rows)
     if not _consistent(final):
         return False, None
-    return True, _back_substitute(levels)
+    return True, tuple(map(Scalar.coerce, _back_substitute(levels)))
 
 
 def _back_substitute(
     levels: list[tuple[list[_MaskedRow], list[_MaskedRow]]],
-) -> tuple[Scalar, ...]:
-    """The sample point of a consistent elimination, first variable first.
+) -> tuple[Value, ...]:
+    """The sample point of a consistent elimination, first variable first,
+    in the field of its rows.
 
     The bounds collected at each level are back-substituted, preferring
     simple rational values inside open intervals: a row
     ±x_k + <c, x> <= rhs bounds x_k by ±(rhs - <c, x>), with no division.
     """
-    point: list[Scalar] = []
-    for k, (pos, neg) in enumerate(levels):
-        upper: Optional[tuple[Scalar, bool]] = None
-        lower: Optional[tuple[Scalar, bool]] = None
+    # the field of the rows; with no row at any level every coordinate is
+    # 0, in either field
+    read = next(
+        (_field_of(rows[0][1]).read for level in levels for rows in level if rows),
+        _FRACTIONS.read,
+    )
+    point: list[Value] = []
+    for pos, neg in levels:
+        upper: Optional[tuple[Value, bool]] = None
+        lower: Optional[tuple[Value, bool]] = None
         for coeffs, rhs, strict, _, _, _ in pos:
-            bound = rhs - dot(point, coeffs[:k])
-            if upper is None or (bound - upper[0]).sign() < 0 or (
+            bound = _residual(rhs, coeffs, point)
+            if upper is None or bound < upper[0] or (
                 bound == upper[0] and strict and not upper[1]
             ):
                 upper = (bound, strict)
         for coeffs, rhs, strict, _, _, _ in neg:
-            bound = dot(point, coeffs[:k]) - rhs
-            if lower is None or (bound - lower[0]).sign() > 0 or (
+            bound = -_residual(rhs, coeffs, point)
+            if lower is None or bound > lower[0] or (
                 bound == lower[0] and strict and not lower[1]
             ):
                 lower = (bound, strict)
-        point.append(_pick_value(lower, upper))
+        point.append(read(_pick_value(lower, upper)))
     return tuple(point)
 
 
+def _residual(rhs: Value, coeffs: Sequence[Value], point: Sequence[Value]) -> Value:
+    """rhs - <c, x> over the coordinates x that point has fixed."""
+    for x, c in zip(point, coeffs):
+        if c:
+            rhs = rhs - x * c
+    return rhs
+
+
 def _pick_value(
-    lower: Optional[tuple[Scalar, bool]], upper: Optional[tuple[Scalar, bool]]
-) -> Scalar:
+    lower: Optional[tuple[Value, bool]], upper: Optional[tuple[Value, bool]]
+) -> Value | int:
+    """A value between the bounds: a bound itself, or a rational (an int
+    or a Fraction) that _back_substitute reads into the field."""
     if lower is None and upper is None:
-        return ZERO
+        return 0
     if lower is None:
         hi, strict = upper
         if not strict:
             return hi
-        f = hi.floor()
-        if Scalar.rational(f) < hi:
-            return Scalar.rational(f)
-        return Scalar.rational(f - 1)
+        f = math.floor(hi)
+        return f if f < hi else f - 1
     if upper is None:
         lo, strict = lower
         if not strict:
             return lo
-        return Scalar.rational(lo.floor() + 1)
+        return math.floor(lo) + 1
     lo, hi = lower[0], upper[0]
     if lo == hi:
         return lo
-    return Scalar.rational(simplest_between(lo, hi))
+    return simplest_between(lo, hi)
 
 
 # -- Γ-rational polyhedra -----------------------------------------------------
@@ -350,11 +445,13 @@ class GammaPolyhedron:
             clean.append((u, exact_rational(gamma, "right-hand side")))
         self.rows: tuple[tuple[tuple[int, ...], Fraction], ...] = tuple(clean)
 
+    def _system_rows(self) -> list[Row]:
+        """The rows as weak system rows, integer normals and Fraction
+        bounds as they are."""
+        return [(u, gamma, False) for u, gamma in self.rows]
+
     def system(self) -> IneqSystem:
-        s = IneqSystem(self.n)
-        for u, gamma in self.rows:
-            s.add(u, gamma)
-        return s
+        return IneqSystem(self.n, self._system_rows())
 
     def contains(self, point: Sequence[ScalarLike]) -> bool:
         p = exact_vector(point, "point")
@@ -366,7 +463,7 @@ class GammaPolyhedron:
         return True
 
     def is_empty(self) -> bool:
-        return not _feasible(self.system())
+        return not _consistent(_eliminate(self.n, self._system_rows())[0])
 
     def sample(self) -> Optional[tuple[Scalar, ...]]:
         return fm_feasible(self.system())[1]
@@ -385,7 +482,7 @@ class GammaPolyhedron:
         rows with right-hand side 0 (see _eliminate).  The dimension is n
         minus the rank of their normals.
         """
-        final, _ = _eliminate(self.system())
+        final, _ = _eliminate(self.n, self._system_rows())
         if not _consistent(final):
             return -1
         support = 0
@@ -572,23 +669,25 @@ def is_neighborhood(U: GammaPolyhedron, F: Flag) -> bool:
 
     Member i is parametrized as base + Σ_{j<i} λ_j dirs_j with all λ_j > 0;
     U's rows become weak constraints on the λ and feasibility is checked
-    per member.
+    per member.  Row ⟨x, u⟩ ≤ γ reads Σ_{j<i} λ_j·⟨dirs_j, u⟩ ≤ γ − ⟨base, u⟩
+    there, so each row's values on the flag are computed once, and member i
+    takes the first i of them.
     """
     expect(U, GammaPolyhedron, "U")
     if expect(F, Flag, "flag").kind != "polyhedra":
         raise DomainError("neighborhood test is for polyhedra flags")
     if U.n != F.d:
         raise DimensionError("polyhedron and flag dimensions differ")
+    on_flag = [
+        (tuple(dot(v, u) for v in F.dirs), Scalar.rational(gamma) - dot(F.base, u))
+        for u, gamma in U.rows
+    ]
     for i in range(F.length + 1):
-        s = IneqSystem(i)
-        for u, gamma in U.rows:
-            coeffs = [dot(F.dirs[j], u) for j in range(i)]
-            rhs = Scalar.rational(gamma) - dot(F.base, u)
-            s.add(coeffs, rhs)
-        for j in range(i):
-            s.add([ZERO] * j + [Scalar.rational(-1)] + [ZERO] * (i - j - 1),
-                  ZERO, strict=True)
-        if not _feasible(s):
+        rows = [(values[:i], rhs, False) for values, rhs in on_flag]
+        rows.extend(
+            ((0,) * j + (-1,) + (0,) * (i - j - 1), 0, True) for j in range(i)
+        )
+        if not _consistent(_eliminate(i, rows)[0]):
             return False
     return True
 

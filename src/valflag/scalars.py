@@ -426,7 +426,10 @@ class Scalar:
         return self._hash
 
     def _sign_minus(self, other: ScalarLike) -> int:
-        """Sign of self - other; a zero other is not subtracted."""
+        """Sign of self - other; a zero other is not subtracted, and the
+        int 0 is not even read."""
+        if type(other) is int and other == 0:
+            return self.sign()
         other = Scalar.coerce(other)
         return (self - other).sign() if other else self.sign()
 
@@ -450,6 +453,9 @@ class Scalar:
         for lo, hi, den in self._brackets():
             if lo // den == hi // den:
                 return lo // den
+
+    # math.floor reads a Scalar as it reads an int or a Fraction
+    __floor__ = floor
 
     def approx(self) -> float:
         """Floating approximation; display only, never used in decisions."""
@@ -507,30 +513,36 @@ def simplest_between(a: ScalarLike, b: ScalarLike) -> Fraction:
 
     Simplest means smallest denominator, ties broken toward the smaller
     absolute numerator; computed by the Stern-Brocot / continued-fraction
-    walk using exact comparisons only.
+    walk using exact comparisons only.  Two rationals (ints or Fractions)
+    walk as Fractions, any other pair as Scalars.
     """
-    a = Scalar.coerce(a)
-    b = Scalar.coerce(b)
+    if _is_rational_number(a) and _is_rational_number(b):
+        a, b = Fraction(a), Fraction(b)
+    else:
+        a, b = Scalar.coerce(a), Scalar.coerce(b)
     if not a < b:
         raise DomainError(f"empty interval ({a}, {b})")
     return _simplest_positive(a, b)
 
 
-def _simplest_positive(a: Scalar, b: Scalar) -> Fraction:
-    if a.sign() < 0:
-        if b.sign() > 0:
+def _is_rational_number(x: object) -> bool:
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
+def _simplest_positive(a: Fraction | Scalar, b: Fraction | Scalar) -> Fraction:
+    if a < 0:
+        if b > 0:
             return Fraction(0)
         return -_simplest_positive(-b, -a)
     # 0 <= a < b
-    fa = a.floor()
+    fa = math.floor(a)
     if b > fa + 1:
         return Fraction(fa + 1)
     a1 = a - fa
     b1 = b - fa
-    if a1.is_zero():
-        inv = ONE / b1
-        return fa + Fraction(1, inv.floor() + 1)
-    inner = _simplest_positive(ONE / b1, ONE / a1)
+    if not a1:
+        return fa + Fraction(1, math.floor(1 / b1) + 1)
+    inner = _simplest_positive(1 / b1, 1 / a1)
     return fa + 1 / inner
 
 

@@ -15,6 +15,7 @@ from valflag import (
     TropPolynomial,
     canonicalize,
     decide_equal,
+    farkas_certify,
     flag_from_matrix,
     in_cone,
     is_neighborhood,
@@ -38,6 +39,7 @@ from valflag.scalars import ONE, ZERO, dot
 
 from _oracles import (
     naive_feasible,
+    random_farkas_instance,
     random_nonsimplicial_cones,
     random_polynomial,
     random_prime,
@@ -215,7 +217,7 @@ def test_fm_rows_have_unit_pivots():
     for i in range(120):
         d = rng.randint(1, 5)
         rows = _random_rows(rng, d, i % 2 == 1, entry, min(12, 48 // d))
-        final, levels = _eliminate(IneqSystem(d, rows))
+        final, levels = _eliminate(d, rows)
         for k, (pos, neg) in enumerate(levels):
             for side, unit in ((pos, ONE), (neg, -ONE)):
                 for coeffs, _, _, _, _, _ in side:
@@ -246,13 +248,13 @@ def test_row_origins_give_exact_multipliers():
     for i in range(80):
         d = rng.randint(1, 4)
         rows = _random_rows(rng, d, i % 2 == 1, entry, min(10, 40 // d))
-        final, levels = _eliminate(IneqSystem(d, rows))
+        final, levels = _eliminate(d, rows)
         assert len(final) <= 1
         infeasible += not _consistent(final)
         for row in final + [r for pos, neg in levels for r in pos + neg]:
             coeffs, rhs, strict, _, support, _ = row
             weights = _weights(row, len(rows))
-            assert all(w.sign() >= 0 for w in weights)
+            assert all(w >= 0 for w in weights)
             assert all(support >> j & 1 for j, w in enumerate(weights) if w)
             assert strict == any(w and rows[j][2] for j, w in enumerate(weights))
             assert rhs == sum((w * r[1] for w, r in zip(weights, rows)), ZERO)
@@ -287,9 +289,9 @@ def test_split_elimination_keeps_the_subsystem():
         rows = _random_rows(rng, d, i % 2 == 1, entry, min(10, 40 // d))
         kept = rng.randint(1, len(rows) - 1)
         split = (1 << len(rows)) - (1 << kept)
-        final, levels = _eliminate(IneqSystem(d, rows), split)
-        sub_final, _ = _eliminate(IneqSystem(d, rows[:kept]))
-        whole, _ = _eliminate(IneqSystem(d, rows))
+        final, levels = _eliminate(d, rows, split)
+        sub_final, _ = _eliminate(d, rows[:kept])
+        whole, _ = _eliminate(d, rows)
         sides = (
             [r for r in final if not r[4] & split],
             [r for r in final if r[4] & split],
@@ -304,8 +306,61 @@ def test_split_elimination_keeps_the_subsystem():
             (row,) = sides[1]
             assert not _consistent([row])
             weights = _weights(row, len(rows))
-            assert any(w.sign() > 0 for w in weights[kept:])
+            assert any(w > 0 for w in weights[kept:])
     assert by_split_rows >= 10
+
+
+def test_rational_systems_eliminate_without_scalar_arithmetic(monkeypatch):
+    # Every entry rational, as an int, a Fraction or a rational Scalar,
+    # mixed within a row: the elimination, the sample point, the weights
+    # and farkas_certify run on Fractions and never reach Scalar
+    # arithmetic, and the point is the unpruned oracle's, which runs on
+    # Scalars and is computed before their arithmetic is switched off.
+    rng = random.Random(67)
+
+    def entry():
+        q = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        return rng.choice((q.numerator, q, Scalar.rational(q)))
+
+    systems = []
+    for _ in range(120):
+        d = rng.randint(1, 4)
+        rows = [
+            (tuple(entry() for _ in range(d)), entry(), rng.random() < 0.4)
+            for _ in range(rng.randint(d + 1, 40 // d))
+        ]
+        as_scalars = [
+            (tuple(map(Scalar.coerce, c)), Scalar.coerce(r), s)
+            for c, r, s in rows
+        ]
+        systems.append((d, rows, ref_fm_feasible(d, as_scalars)))
+    farkas = [
+        random_farkas_instance(rng, 3, 5, kind)
+        for kind in ("contained", "violated") for _ in range(10)
+    ]
+    answers = [farkas_certify(*instance) for instance in farkas]
+
+    def refuse(*args):
+        raise AssertionError("Scalar arithmetic on a rational system")
+
+    for name in (
+        "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+        "__truediv__", "__rtruediv__", "__neg__", "sign",
+    ):
+        monkeypatch.setattr(Scalar, name, refuse)
+    feasible_count = 0
+    for d, rows, want in systems:
+        final, levels = _eliminate(d, rows)
+        if _consistent(final):
+            feasible_count += 1
+            assert (True, _back_substitute(levels)) == want
+        else:
+            assert want == (False, None)
+            (row,) = final
+            assert all(type(w) is Fraction for w in _weights(row, len(rows)))
+        assert fm_feasible(IneqSystem(d, rows)) == want
+    assert 30 <= feasible_count <= 100
+    assert [farkas_certify(*instance) for instance in farkas] == answers
 
 
 def test_ineq_system_rejects_bad_rows():

@@ -123,11 +123,16 @@ def test_in_cone(d, m, bound):
     assert clock.spent < bound
 
 
-@pytest.mark.parametrize("n, m, bound", [(3, 8, 0.05), (4, 11, 0.2), (5, 14, 1.0)])
+@pytest.mark.parametrize(
+    "n, m, bound", [(3, 8, 0.05), (4, 11, 0.2), (5, 14, 1.0), (6, 16, 6.0)]
+)
 def test_farkas_certify(n, m, bound):
     # contained targets, so every answer is a certificate that must hold
     # its identity; ref_farkas_certify agrees up to eleven constraints,
-    # while its multiplier system in fourteen variables took gigabytes
+    # while its multiplier system in fourteen variables took gigabytes.
+    # n = 6 with 16 constraints took 1.3-1.8 s, with a 50 MB process
+    # peak, while the elimination ran on Scalars, and 0.6-0.8 s with 27 MB
+    # on Fractions
     rng = random.Random(f"farkas:{n}:{m}")
     clock = Clock()
     for _ in range(3):
